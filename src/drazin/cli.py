@@ -9,6 +9,7 @@ itself. Exit codes: 0 success, 1 user error, 2 internal inconsistency
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -282,12 +283,10 @@ def _cmd_verify(args):
     field = _field_of(args)
     x = _matrix_arg(field, args.matrix)
     claim = _matrix_arg(field, args.claim)
-    if args.system == "D":
-        report = check_axioms("D", x=x, inverse=claim)
-    elif args.system == "G":
-        report = check_axioms("G", x=x, inverse=claim)
-    else:
+    if args.system == "MP":
         report = check_axioms("MP", f=x, pseudo=claim)
+    else:
+        report = check_axioms(args.system, x=x, inverse=claim)
     response = {
         "command": "verify",
         "field": field.descriptor(),
@@ -421,9 +420,14 @@ def _emit(response, pretty):
         print(json.dumps(response, indent=2))
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argparse tree, built once per process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         response, code = args.handler(args)
     except InternalInconsistencyError as exc:

@@ -1,16 +1,21 @@
-"""Drazin index and inverse of a square exact matrix (Route A).
+"""Drazin index and inverse of a square matrix (Route A), and the axiom evaluators.
 
-The index is the first repeat in the rank chain rank(x^0), rank(x^1), ...
-The inverse comes from a full-rank factorization of x^{k+1}: with
-x^{k+1} = L*R the r-by-r core beta = R*L is invertible, and
+One power chain: the index walk over rank(x^0), rank(x^1), ... stops at
+the first repeat holding x^k, x^{k+1} and rref(x^{k+1}), and both matrix
+routes take them from it. Route A factors x^{k+1} = L*R; the core
+beta = R*L is invertible and x^D = x^k * L * beta^{-2} * R. Invertible
+inputs short-circuit to the ordinary inverse.
 
-    x^D = x^k * L * beta^{-2} * R.
-
-Invertible inputs short-circuit to the ordinary inverse.
+One evaluator: [D.1-3] read the same for matrices, endofunctions and
+monoid elements, so they are evaluated once over a carrier (mul, identity,
+eq), with one absorption search for the least k of [D.1]. The reports in
+verify and the raising revalidations here and in pairs share it; [DV.1-3]
+run the same search on f*g and on g*f.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .exceptions import (
@@ -21,7 +26,7 @@ from .exceptions import (
     SingularMatrixError,
     WitnessInvalidError,
 )
-from .linalg import Matrix, full_rank_factorization, invert_matrix, rank
+from .linalg import Matrix, _factor, invert_matrix, rref
 
 
 @dataclass(frozen=True)
@@ -37,24 +42,29 @@ def _require_square(x):
         raise NotSquareError("expected a square matrix")
 
 
-def drazin_index(x):
-    """Least k with rank(x^k) = rank(x^{k+1}); always <= n."""
+def _power_walk(x):
+    """(k, x^k, x^{k+1}, rref(x^{k+1})) at the index k of x."""
     _require_square(x)
-    prev_rank = x.rows  # rank of x^0 = I
+    prev = Matrix.identity(x.field, x.rows)
+    prev_rank = x.rows
     power = x
     k = 0
     while True:
-        r = rank(power)
-        if r == prev_rank:
-            return k
-        prev_rank = r
+        reduced = rref(power)
+        if reduced[2] == prev_rank:
+            return k, prev, power, reduced
+        prev, prev_rank = power, reduced[2]
         power = power * x
         k += 1
 
 
+def drazin_index(x):
+    """Least k with rank(x^k) = rank(x^{k+1}); always <= n."""
+    return _power_walk(x)[0]
+
+
 def drazin_inverse(x):
-    _require_square(x)
-    k = drazin_index(x)
+    k, xk, xk1, reduced = _power_walk(x)
     if k == 0:
         inverse = invert_matrix(x)
         return DrazinData(
@@ -63,8 +73,7 @@ def drazin_inverse(x):
             idempotent=Matrix.identity(x.field, x.rows),
             route="RankFactorization",
         )
-    xk = x ** k
-    fact = full_rank_factorization(xk * x)
+    fact = _factor(xk1, reduced)
     beta = fact.right * fact.left
     try:
         beta_inv = invert_matrix(beta)
@@ -113,6 +122,69 @@ def drazin_from_pi_witnesses(x, y, p, z, q):
     return (x ** k) * (z ** (k + 1))
 
 
+def _absorption_index(x, e, cap, mul, one, eq):
+    """Least k in [0, cap] with x^k * e == x^k, else None.
+
+    Absorption at k holds at every higher power; for n x n matrices the row
+    space of x^k is constant from k = n on, so cap = n decides every power.
+    """
+    if cap >= 0 and eq(e, one):  # x^0 * e == e: no product needed
+        return 0
+    power = x
+    for k in range(1, cap + 1):
+        if eq(mul(power, e), power):
+            return k
+        power = mul(power, x)
+    return None
+
+
+def _matrix_carrier(x):
+    return operator.mul, Matrix.identity(x.field, x.rows), operator.eq
+
+
+def _drazin_failures(x, xd, cap, mul, one, eq):
+    """The failed tags of [D.1-3] for xd and the least k witnessing [D.1]."""
+    x_xd = mul(x, xd)
+    k = _absorption_index(x, x_xd, cap, mul, one, eq)
+    xd_x = mul(xd, x)
+    failed = []
+    if k is None:
+        failed.append("D.1")
+    if not eq(mul(xd_x, xd), xd):
+        failed.append("D.2")
+    if not eq(xd_x, x_xd):
+        failed.append("D.3")
+    return failed, k
+
+
+def _pair_failures(f, g, u, v):
+    """The failed tags of [DV.1-3] for u = f^{D/g}, v = g^{D/f} and the pair
+    index witnessing [DV.1]: the absorption search on f*g and on g*f."""
+    fg = f * g
+    gf = g * f
+    cap = max(fg.rows, gf.rows)
+    k1 = _absorption_index(fg, f * u, cap, *_matrix_carrier(fg))
+    k2 = _absorption_index(gf, g * v, cap, *_matrix_carrier(gf))
+    witnessed = None if None in (k1, k2) else max(k1, k2)
+    failed = [] if witnessed is not None else ["DV.1"]
+    if u * f * u != u or v * g * v != v:
+        failed.append("DV.2")
+    if f * u != v * g or u * f != g * v:
+        failed.append("DV.3")
+    return failed, witnessed
+
+
+def _penrose_failures(f, pseudo):
+    """The failed tags of the Penrose equations [MP.1-4], dagger = transpose."""
+    # MP.1 before pseudo * f: on mismatched shapes the first failing product
+    # names the error.
+    f_p = f * pseudo
+    holds = [f_p * f == f]
+    p_f = pseudo * f
+    holds += [p_f * pseudo == pseudo, f_p.transpose() == f_p, p_f.transpose() == p_f]
+    return ["MP.%d" % i for i, ok in enumerate(holds, 1) if not ok]
+
+
 def verify_drazin_data(x, d):
     """Cheap exact [D.1-3] revalidation used by every decomposition entry."""
     _require_square(x)
@@ -121,12 +193,10 @@ def verify_drazin_data(x, d):
     xd = d.inverse
     if xd.field != x.field or (xd.rows, xd.cols) != (x.rows, x.cols):
         raise ValueError("DrazinData does not match the shape or field of x")
-    xk = x ** d.index
-    if xk * x * xd != xk:
+    failed, k = _drazin_failures(x, xd, x.rows, *_matrix_carrier(x))
+    if k is None or k > d.index:
         raise ValueError("stale DrazinData: [D.1] fails at the recorded index")
-    if xd * x * xd != xd:
-        raise ValueError("stale DrazinData: [D.2] fails")
-    if xd * x != x * xd:
-        raise ValueError("stale DrazinData: [D.3] fails")
+    if failed:
+        raise ValueError("stale DrazinData: [%s] fails" % failed[0])
     if d.idempotent != x * xd:
         raise ValueError("stale DrazinData: recorded idempotent is wrong")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DrazinData, drazin_index, verify_drazin_data
+from .core import DrazinData, _power_walk, verify_drazin_data
 from .exceptions import (
     InternalInconsistencyError,
     NotIdempotentError,
@@ -22,12 +22,11 @@ from .exceptions import (
 )
 from .linalg import (
     Matrix,
+    _kernel,
     block_diag,
     full_rank_factorization,
     hstack,
-    image_basis,
     invert_matrix,
-    kernel_basis,
     vstack,
 )
 
@@ -103,43 +102,39 @@ def splitting_iso(x, d):
     return alpha
 
 
-def _nilpotency_index(n):
-    """Smallest t with n^t = 0; caller guarantees n is nilpotent."""
-    if n.rows == 0:
-        return 0
-    t = 1
-    power = n
-    while not power.is_zero():
-        power = power * n
-        t += 1
-        if t > n.rows + 1:
-            raise InternalInconsistencyError("matrix is not nilpotent")
-    return t
-
-
 def core_nilpotent(x, d):
     """x = core + nilpotent_part with the three separation axioms."""
     verify_drazin_data(x, d)
     core = x * d.inverse * x
     nilpotent_part = x - core
+    # A nilpotent matrix's index is its nilpotency degree, and its rank
+    # chain stabilizes at 0.
+    nilpotent_index, _, _, (_, _, stable_rank) = _power_walk(nilpotent_part)
+    if stable_rank != 0:
+        raise InternalInconsistencyError("matrix is not nilpotent")
     return CoreNilpotent(
         core=core,
         nilpotent_part=nilpotent_part,
-        nilpotent_index=_nilpotency_index(nilpotent_part),
+        nilpotent_index=nilpotent_index,
     )
+
+
+def _shifted_power(x, d):
+    """(x^k, x^{k+1}, (x^{k+1} + (I - e_x))^{-1} or None when singular)."""
+    verify_drazin_data(x, d)
+    xk = x ** d.index
+    power = xk * x
+    try:
+        inv = invert_matrix(power + (Matrix.identity(x.field, x.rows) - d.idempotent))
+    except SingularMatrixError:
+        inv = None
+    return xk, power, inv
 
 
 def complement_formula_check(x, d):
     """Does x^D = x^k * (x^{k+1} + (I - e_x))^{-1}, in both orders?"""
-    verify_drazin_data(x, d)
-    k = d.index
-    xk = x ** k
-    shifted = xk * x + (Matrix.identity(x.field, x.rows) - d.idempotent)
-    try:
-        inv = invert_matrix(shifted)
-    except SingularMatrixError:
-        return False
-    return d.inverse == xk * inv and d.inverse == inv * xk
+    xk, _, inv = _shifted_power(x, d)
+    return inv is not None and d.inverse == xk * inv and d.inverse == inv * xk
 
 
 def fitting_decomposition(x, d):
@@ -181,10 +176,9 @@ def image_kernel_drazin(x):
     Same contract as drazin_inverse; the assembled basis is invertible at
     the stabilized index, and a singular one means a library bug.
     """
-    k = drazin_index(x)
-    power = x ** (k + 1)
-    iota = image_basis(power)
-    kappa = kernel_basis(power)
+    k, _, power, reduced = _power_walk(x)
+    iota = power.take_cols(reduced[1])  # image_basis(power)
+    kappa = _kernel(reduced)
     psi = hstack(iota, kappa)
     try:
         phi = invert_matrix(psi)
@@ -222,20 +216,19 @@ def eventuating_family(x, d, N=None):
     if not isinstance(N, int) or N < 1:
         raise ValueError("window radius N must be a natural number >= 1")
     sp = split_idempotent(d.idempotent)
-    r0, s0 = sp.retraction, sp.section
-    sections = []
-    retractions = []
-    for i in range(-N, N + 1):
-        if i >= 0:
-            sections.append((x ** i) * s0)
-            retractions.append(r0 * (d.inverse ** i))
-        else:
-            sections.append((d.inverse ** (-i)) * s0)
-            retractions.append(r0 * (x ** (-i)))
+    xd = d.inverse
+    # Each step extends the last: indices 0..N rightwards, 0..-N leftwards.
+    s_right, r_right = [sp.section], [sp.retraction]
+    s_left, r_left = [sp.section], [sp.retraction]
+    for _ in range(N):
+        s_right.append(x * s_right[-1])
+        r_right.append(r_right[-1] * xd)
+        s_left.append(xd * s_left[-1])
+        r_left.append(r_left[-1] * x)
     return EventuatingFamily(
         window=tuple(range(-N, N + 1)),
-        sections=tuple(sections),
-        retractions=tuple(retractions),
+        sections=tuple(s_left[:0:-1] + s_right),
+        retractions=tuple(r_left[:0:-1] + r_right),
         index=d.index,
     )
 
@@ -246,14 +239,6 @@ def munn_power_iso_check(x, d):
     Concretely: e_x absorbs x^{k+1} on both sides and x^{k+1} + (I - e_x)
     is invertible.
     """
-    verify_drazin_data(x, d)
-    power = x ** (d.index + 1)
+    _, power, inv = _shifted_power(x, d)
     e = d.idempotent
-    if e * power != power or power * e != power:
-        return False
-    shifted = power + (Matrix.identity(x.field, x.rows) - e)
-    try:
-        invert_matrix(shifted)
-    except SingularMatrixError:
-        return False
-    return True
+    return e * power == power and power * e == power and inv is not None

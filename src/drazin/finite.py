@@ -255,8 +255,14 @@ def fp_matrix_monoid(p, n):
 
     Exists for the Route C matrix walk: power cycles in GL(n, p) reach
     thousands of steps, so the walk multiplies numpy arrays and keys the
-    table by raw bytes.
+    table by raw bytes. An entry of a product sums n terms below (p-1)^2
+    before the reduction, so n*(p-1)^2 must stay below 2^63.
     """
+    if n * (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(
+            "%dx%d matrices over F_%d overflow int64 products: n*(p-1)^2 must be below 2^63"
+            % (n, n, p)
+        )
     import numpy as np
 
     return Monoid(

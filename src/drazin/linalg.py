@@ -144,12 +144,10 @@ class Matrix:
                 "multiply %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
+        if self.rows == 0 or self.cols == 0 or other.cols == 0:
+            return Matrix.zeros(self.field, self.rows, other.cols)
         dot = self.field.dot
-        bt = tuple(zip(*other.entries)) if other.entries else ((),) * other.cols
-        if other.cols == 0 or self.rows == 0:
-            return Matrix.zeros(self.field, self.rows, other.cols)
-        if self.cols == 0:
-            return Matrix.zeros(self.field, self.rows, other.cols)
+        bt = tuple(zip(*other.entries))
         rows = tuple(tuple(dot(row, col) for col in bt) for row in self.entries)
         return Matrix._raw(self.field, rows, other.cols)
 
@@ -203,19 +201,25 @@ class Matrix:
     def from_json(cls, field, obj):
         if isinstance(obj, list):
             # bare array-of-rows form, shape inferred
-            obj = {"rows": len(obj), "cols": len(obj[0]) if obj else 0, "entries": obj}
+            cols = len(obj[0]) if obj and isinstance(obj[0], list) else 0
+            obj = {"rows": len(obj), "cols": cols, "entries": obj}
         if not isinstance(obj, dict):
             raise ParseError("matrix must be an object or array of rows")
         try:
             rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         except (KeyError, TypeError) as exc:
             raise ParseError("matrix needs rows, cols, entries") from exc
-        if not isinstance(entries, list) or len(entries) != rows:
+        if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+            raise ParseError("entries must be an array of rows, each an array")
+        for name, size in (("rows", rows), ("cols", cols)):
+            if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+                raise ParseError("%s must be a natural number, got %r" % (name, size))
+        if len(entries) != rows:
             raise ParseError("entries has %r rows, expected %r" % (len(entries), rows))
         dec = field.scalar_from_json
         out = []
         for row in entries:
-            if not isinstance(row, list) or len(row) != cols:
+            if len(row) != cols:
                 raise ParseError("row of length %r, expected %r" % (len(row), cols))
             out.append(tuple(dec(a) for a in row))
         return cls._raw(field, tuple(out), cols)
@@ -226,8 +230,6 @@ def hstack(a, b):
     if a.rows != b.rows:
         raise ShapeMismatchError("hstack %d rows with %d rows" % (a.rows, b.rows))
     rows = tuple(ra + rb for ra, rb in zip(a.entries, b.entries))
-    if a.rows == 0:
-        return Matrix.zeros(a.field, 0, a.cols + b.cols)
     return Matrix._raw(a.field, rows, a.cols + b.cols)
 
 
@@ -296,17 +298,22 @@ def kernel_basis(m):
     free column (free entry set to one, pivot entries filled from the
     reduced rows, ordered by ascending free column index).
     """
-    field = m.field
-    reduced, pivots, rk = rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    return _kernel(rref(m))
+
+
+def _kernel(triple):
+    """kernel_basis read off a finished rref triple."""
+    reduced, pivots, _ = triple
+    field, n = reduced.field, reduced.cols
+    free = [c for c in range(n) if c not in set(pivots)]
     cols = []
     for fc in free:
-        v = [field.zero] * m.cols
+        v = [field.zero] * n
         v[fc] = field.one
         for i, pc in enumerate(pivots):
             v[pc] = field.neg(reduced.entries[i][fc])
         cols.append(v)
-    rows = tuple(tuple(col[i] for col in cols) for i in range(m.cols))
+    rows = tuple(tuple(col[i] for col in cols) for i in range(n))
     return Matrix._raw(field, rows, len(free))
 
 
@@ -330,7 +337,12 @@ def full_rank_factorization(m):
     rref(m) (rank-by-cols); the pivot columns of right form an identity
     block, which later constructions rely on.
     """
-    reduced, pivots, rk = rref(m)
+    return _factor(m, rref(m))
+
+
+def _factor(m, triple):
+    """full_rank_factorization of m from its finished rref triple."""
+    reduced, pivots, rk = triple
     left = m.take_cols(pivots)
     right = reduced.take_rows(range(rk))
     return RankFactorization(left=left, right=right, rank=rk)

@@ -13,7 +13,13 @@ import logging
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import drazin_inverse
+from .core import (
+    _absorption_index,
+    _matrix_carrier,
+    _pair_failures,
+    _penrose_failures,
+    drazin_inverse,
+)
 from .exceptions import (
     FieldMismatchError,
     InternalInconsistencyError,
@@ -74,16 +80,6 @@ def cline(f, g):
     return fg_D, gf_D
 
 
-def _min_absorption_index(product, idem, cap):
-    """Smallest k with product^k * idem = product^k."""
-    power = Matrix.identity(product.field, product.rows)
-    for k in range(cap + 1):
-        if power * idem == power:
-            return k
-        power = power * product
-    raise InternalInconsistencyError("no absorption index up to the dimension bound")
-
-
 def pair_drazin(pair):
     """The pair Drazin inverse (g^{D/f}, f^{D/g}) with its index and idempotents.
 
@@ -93,8 +89,10 @@ def pair_drazin(pair):
     at most one and the difference is logged.
     """
     f, g = pair.forward, pair.backward
-    d_fg = drazin_inverse(f * g)
-    d_gf = drazin_inverse(g * f)
+    fg = f * g
+    gf = g * f
+    d_fg = drazin_inverse(fg)
+    d_gf = drazin_inverse(gf)
     f_over_g = g * d_fg.inverse
     if f_over_g != d_gf.inverse * g:
         raise InternalInconsistencyError("the two formulas for f^{D/g} disagree")
@@ -107,9 +105,9 @@ def pair_drazin(pair):
     idem_gf = f_over_g * f
     if idem_gf != g * g_over_f:
         raise InternalInconsistencyError("e_gf expressions disagree")
-    cap = max(f.rows, f.cols) + 1
-    k1 = _min_absorption_index(f * g, idem_fg, cap)
-    k2 = _min_absorption_index(g * f, idem_gf, cap)
+    cap = max(f.rows, f.cols)
+    k1 = _absorption_index(fg, idem_fg, cap, *_matrix_carrier(fg))
+    k2 = _absorption_index(gf, idem_gf, cap, *_matrix_carrier(gf))
     if k1 != d_fg.index or k2 != d_gf.index:
         raise InternalInconsistencyError(
             "absorption minima disagree with composite indices"
@@ -135,14 +133,11 @@ def verify_pair_data(pair, d):
     u, v = d.f_over_g, d.g_over_f
     if (u.rows, u.cols) != (f.cols, f.rows) or (v.rows, v.cols) != (f.rows, f.cols):
         raise ValueError("pair data shapes do not match the pair")
-    fg_k = (f * g) ** d.index
-    gf_k = (g * f) ** d.index
-    if fg_k * f * u != fg_k or gf_k * g * v != gf_k:
+    failed, k = _pair_failures(f, g, u, v)
+    if k is None or k > d.index:
         raise ValueError("stale pair data: [DV.1] fails at the recorded index")
-    if u * f * u != u or v * g * v != v:
-        raise ValueError("stale pair data: [DV.2] fails")
-    if f * u != v * g or u * f != g * v:
-        raise ValueError("stale pair data: [DV.3] fails")
+    if failed:
+        raise ValueError("stale pair data: [%s] fails" % failed[0])
 
 
 def check_pair_group(pair, d):
@@ -238,15 +233,7 @@ def mp_drazin_check(x):
     if not x.is_square:
         raise NotSquareError("mp_drazin_check needs a square matrix")
     d = drazin_inverse(x)
-    xd = d.inverse
-    prod = x * xd
-    prod_rev = xd * x
-    cond_axioms = (
-        x * xd * x == x
-        and xd * x * xd == xd
-        and prod.transpose() == prod
-        and prod_rev.transpose() == prod_rev
-    )
+    cond_axioms = not _penrose_failures(x, d.inverse)
     cond_index = d.index <= 1 and d.idempotent.transpose() == d.idempotent
     mp = moore_penrose(x)
     cond_commute = mp.exists and x * mp.pseudo == mp.pseudo * x

@@ -9,11 +9,20 @@ every applicable computation route on one matrix and compares.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .core import DrazinData, drazin_index, drazin_inverse
+from .core import (
+    DrazinData,
+    _drazin_failures,
+    _pair_failures,
+    _penrose_failures,
+    _power_walk,
+    drazin_index,
+    drazin_inverse,
+)
 from .decompositions import image_kernel_drazin
 from .exceptions import (
     EnumerationTooLargeError,
@@ -76,16 +85,6 @@ def _index_cap(obj):
     raise TypeError("no dimension bound for %r" % (obj,))
 
 
-def _min_power_fixed(base, absorber, cap):
-    """Minimal k in [0, cap] with base^k * absorber == base^k, else None."""
-    power = _identity_like(base)
-    for k in range(cap + 1):
-        if power * absorber == power:
-            return k
-        power = power * base
-    return None
-
-
 def _report(system, failed, witnessed=None):
     failed = tuple(failed)
     return AxiomReport(
@@ -135,15 +134,8 @@ def check_axioms(system, **subject):
 
 
 def _check_d(x, inverse):
-    failed = []
-    witnessed = _min_power_fixed(x, x * inverse, _index_cap(x))
-    if witnessed is None:
-        failed.append("D.1")
-    if inverse * x * inverse != inverse:
-        failed.append("D.2")
-    if inverse * x != x * inverse:
-        failed.append("D.3")
-    return _report("D", failed, witnessed)
+    carrier = operator.mul, _identity_like(x), operator.eq
+    return _report("D", *_drazin_failures(x, inverse, _index_cap(x), *carrier))
 
 
 def _check_g(x, inverse):
@@ -158,22 +150,7 @@ def _check_g(x, inverse):
 
 
 def _check_dv(f, g, f_over_g, g_over_f):
-    failed = []
-    fg = f * g
-    gf = g * f
-    cap = max(_index_cap(fg), _index_cap(gf))
-    k1 = _min_power_fixed(fg, f * f_over_g, cap)
-    k2 = _min_power_fixed(gf, g * g_over_f, cap)
-    witnessed = None
-    if k1 is None or k2 is None:
-        failed.append("DV.1")
-    else:
-        witnessed = max(k1, k2)
-    if f_over_g * f * f_over_g != f_over_g or g_over_f * g * g_over_f != g_over_f:
-        failed.append("DV.2")
-    if f * f_over_g != g_over_f * g or f_over_g * f != g * g_over_f:
-        failed.append("DV.3")
-    return _report("DV", failed, witnessed)
+    return _report("DV", *_pair_failures(f, g, f_over_g, g_over_f))
 
 
 def _check_gv(f, g, f_over_g, g_over_f):
@@ -190,16 +167,7 @@ def _check_gv(f, g, f_over_g, g_over_f):
 
 
 def _check_mp(f, pseudo):
-    failed = []
-    if f * pseudo * f != f:
-        failed.append("MP.1")
-    if pseudo * f * pseudo != pseudo:
-        failed.append("MP.2")
-    if (f * pseudo).transpose() != f * pseudo:
-        failed.append("MP.3")
-    if (pseudo * f).transpose() != pseudo * f:
-        failed.append("MP.4")
-    return _report("MP", failed)
+    return _report("MP", _penrose_failures(f, pseudo))
 
 
 def _check_cnd(x, core, nilpotent_part, nilpotent_index=None):
@@ -207,8 +175,7 @@ def _check_cnd(x, core, nilpotent_part, nilpotent_index=None):
     if drazin_index(core) > 1:
         failed.append("CND.1")
     if nilpotent_index is None:
-        cap = max(nilpotent_part.rows, 1)
-        if not any((nilpotent_part ** t).is_zero() for t in range(cap + 1)):
+        if _power_walk(nilpotent_part)[3][2] != 0:  # stable rank 0 iff nilpotent
             failed.append("CND.2")
     elif not (nilpotent_part ** nilpotent_index).is_zero():
         failed.append("CND.2")
@@ -246,25 +213,8 @@ def _check_ev(x, family):
 
 def check_monoid_axioms(monoid, x, inverse, cap):
     """The D axioms for a monoid element, index search capped at cap."""
-    failed = []
-    witnessed = None
-    mul = monoid.mul
-    eq = monoid.eq
-    xd_x = mul(inverse, x)
-    x_xd = mul(x, inverse)
-    power = monoid.identity
-    for k in range(cap + 1):
-        if eq(mul(power, x_xd), power):
-            witnessed = k
-            break
-        power = mul(power, x)
-    if witnessed is None:
-        failed.append("D.1")
-    if not eq(mul(xd_x, inverse), inverse):
-        failed.append("D.2")
-    if not eq(xd_x, x_xd):
-        failed.append("D.3")
-    return _report("D", failed, witnessed)
+    carrier = monoid.mul, monoid.identity, monoid.eq
+    return _report("D", *_drazin_failures(x, inverse, cap, *carrier))
 
 
 def brute_force_drazin(x, candidates, limit=10 ** 6):
@@ -318,20 +268,6 @@ def all_matrices(field, rows, cols, scalars=None):
         yield Matrix(field, entries)
 
 
-def _matrix_to_np(x):
-    import numpy as np
-
-    arr = np.zeros((x.rows, x.cols), dtype=np.int64)
-    for i in range(x.rows):
-        for j in range(x.cols):
-            arr[i, j] = x[i, j]
-    return arr
-
-
-def _np_to_matrix(field, arr):
-    return Matrix(field, [[int(v) for v in row] for row in arr.tolist()])
-
-
 def monoid_cycle_drazin(x, max_steps=None):
     """Route C: the power-cycle walk in the monoid of matrices over F_p.
 
@@ -343,8 +279,11 @@ def monoid_cycle_drazin(x, max_steps=None):
     if not x.is_square:
         raise NotSquareError("Drazin inverses need a square matrix")
     monoid = fp_matrix_monoid(x.field.p, x.rows)
-    element, index = monoid_drazin(monoid.element(_matrix_to_np(x)), max_steps)
-    inverse = _np_to_matrix(x.field, element.value)
+    import numpy as np  # loaded by fp_matrix_monoid; kept out of module import
+
+    start = np.array(x.entries, dtype=np.int64).reshape(x.rows, x.cols)
+    element, index = monoid_drazin(monoid.element(start), max_steps)
+    inverse = Matrix(x.field, element.value.tolist())
     return DrazinData(
         inverse=inverse, index=index, idempotent=x * inverse, route="MonoidCycle"
     )
@@ -378,18 +317,11 @@ def cross_route_audit(x):
     walk in the matrix monoid. Uniqueness says they must agree; the
     report records the pairwise outcomes.
     """
-    inverses = {}
-    indices = {}
-    a = drazin_inverse(x)
-    inverses["A"] = a.inverse
-    indices["A"] = a.index
-    b = image_kernel_drazin(x)
-    inverses["B"] = b.inverse
-    indices["B"] = b.index
+    results = {"A": drazin_inverse(x), "B": image_kernel_drazin(x)}
     if isinstance(x.field, PrimeField):
-        c = monoid_cycle_drazin(x)
-        inverses["C"] = c.inverse
-        indices["C"] = c.index
+        results["C"] = monoid_cycle_drazin(x)
+    inverses = {r: d.inverse for r, d in results.items()}
+    indices = {r: d.index for r, d in results.items()}
     routes = sorted(inverses)
     pairwise = {}
     for i, r1 in enumerate(routes):

@@ -338,3 +338,53 @@ def test_console_script_subprocess():
     assert proc.returncode == 0, proc.stderr
     resp = json.loads(proc.stdout)
     assert resp["inverse"] == 8 and resp["index"] == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "[1,2]",
+        '{"rows":2,"cols":2,"entries":5}',
+        "[[1,2],3]",
+        '{"rows":-1,"cols":0,"entries":[]}',
+        '{"rows":1,"cols":"1","entries":[[1]]}',
+    ],
+)
+def test_malformed_matrix_exit_one(capsys, payload):
+    code, resp = run_json(capsys, ["drazin", "--matrix", payload])
+    assert code == 1 and "error" in resp
+
+
+def test_route_c_refuses_int64_overflow():
+    # With p = 4294967311 the int64 power walk of this order-2 matrix wraps
+    # around and never closes; route C must refuse before walking.
+    p = 4294967311
+    proc = subprocess.run(
+        [sys.executable, "-m", "drazin.cli", "drazin", "--route", "C", "--field", "Fp",
+         "--p", str(p), "--matrix", "[[%d,5],[0,1]]" % (p - 1)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "2^63" in json.loads(proc.stdout)["error"]
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    import drazin.cli as cli_mod
+
+    builds = []
+    real_build = cli_mod.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli_mod, "build_parser", counting_build)
+    cli_mod._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_json(capsys, ["monoid", "--modulus", "8", "--element", "2"])[0] == 0
+        assert len(builds) == 1
+    finally:
+        cli_mod._parser.cache_clear()

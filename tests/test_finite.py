@@ -232,3 +232,11 @@ def test_fp_matrix_monoid_agrees_with_rank_route():
         assert [[int(v) for v in row] for row in d.value] == [
             list(row) for row in ref.inverse.entries
         ]
+
+
+def test_fp_matrix_monoid_refuses_int64_overflow():
+    fp_matrix_monoid(3037000493, 1)
+    with pytest.raises(ValueError, match="2\\^63"):
+        fp_matrix_monoid(3037000493, 2)
+    with pytest.raises(ValueError, match="2\\^63"):
+        fp_matrix_monoid(4294967311, 2)

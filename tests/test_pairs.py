@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from drazin import (
     mp_drazin_check,
     mp_via_pair_drazin,
     pair_drazin,
+    verify_pair_data,
 )
 
 F2 = PrimeField(2)
@@ -238,3 +240,28 @@ def test_mp_drazin_check_never_disagrees_on_small_sweep():
     for combo in product(range(2), repeat=4):
         x = Matrix(F2, [combo[:2], combo[2:]])
         mp_drazin_check(x)  # raises InternalInconsistencyError on any split
+
+
+def test_verify_pair_data_accepts_fresh_and_rejects_tampering():
+    f = q([[2, 0, 0], [0, 0, 1]])
+    g = q([[1, 0], [0, 1], [0, 0]])
+    pair = OpposingPair(f, g)
+    d = pair_drazin(pair)
+    assert d.index == 2
+    assert d.f_over_g == q([[Fraction(1, 2), 0], [0, 0], [0, 0]])
+    verify_pair_data(pair, d)
+    verify_pair_data(pair, dataclasses.replace(d, index=3))
+    half = Fraction(1, 2)
+    stale = [
+        (dataclasses.replace(d, index=1), r"\[DV\.1\]"),
+        (dataclasses.replace(d, index=-1), r"\[DV\.1\]"),
+        (dataclasses.replace(d, f_over_g=q([[1, 0], [0, 0], [0, 0]])), r"\[DV\.1\]"),
+        (dataclasses.replace(d, f_over_g=q([[half, 0], [0, 1], [0, 0]])), r"\[DV\.2\]"),
+        (dataclasses.replace(d, f_over_g=q([[half, 0], [0, 0], [0, 1]])), r"\[DV\.3\]"),
+        (dataclasses.replace(d, g_over_f=q([[1, 0, 0], [0, 1, 0]])), r"\[DV\.3\]"),
+        (dataclasses.replace(d, f_over_g=q([[half, 0], [0, 0]])), "shapes"),
+        (dataclasses.replace(d, g_over_f=d.f_over_g), "shapes"),
+    ]
+    for bad, reason in stale:
+        with pytest.raises(ValueError, match=reason):
+            verify_pair_data(pair, bad)

@@ -29,6 +29,7 @@ from drazin import (
     monoid_cycle_drazin,
     moore_penrose,
     pair_drazin,
+    transformation_monoid,
 )
 
 F2 = PrimeField(2)
@@ -198,6 +199,17 @@ def test_check_monoid_axioms():
     assert rep.passed and rep.witnessed_index == 3
     bad = check_monoid_axioms(mon, 2, 4, cap=8)
     assert not bad.passed
+
+
+def test_check_monoid_axioms_matches_check_d_on_endofunctions():
+    for n in range(4):
+        mon = transformation_monoid(n)
+        funs = list(all_endofunctions(n))
+        for f in funs:
+            for claim in funs:
+                assert check_monoid_axioms(mon, f.table, claim.table, cap=n) == check_axioms(
+                    "D", x=f, inverse=claim
+                )
 
 
 def test_brute_force_endofunctions():
