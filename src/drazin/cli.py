@@ -31,8 +31,6 @@ from .linalg import Matrix
 from .pairs import (
     OpposingPair,
     check_binary_idempotent,
-    check_pair_group,
-    cline,
     moore_penrose,
     mp_via_pair_drazin,
     pair_drazin,
@@ -165,7 +163,11 @@ def _cmd_pair(args):
     report = check_axioms(
         "DV", f=f, g=g, f_over_g=d.f_over_g, g_over_f=d.g_over_f
     )
-    fg_inverse, gf_inverse = cline(f, g)
+    # (fg)^D = g^{D/f} f^{D/g} and (gf)^D = f^{D/g} g^{D/f}; Cline's formula
+    # g ((fg)^D)^2 f = (gf)^D then ties the two together.
+    fg_inverse = d.g_over_f * d.f_over_g
+    gf_inverse = d.f_over_g * d.g_over_f
+    cline_holds = g * fg_inverse * fg_inverse * f == gf_inverse
     response = {
         "command": "pair",
         "field": field.descriptor(),
@@ -176,12 +178,14 @@ def _cmd_pair(args):
         "index": d.index,
         "idem_fg": d.idem_fg.to_json(),
         "idem_gf": d.idem_gf.to_json(),
-        "is_group_pair": check_pair_group(pair, d),
+        "is_group_pair": d.index <= 1,
         "is_binary_idempotent": check_binary_idempotent(pair),
         "cline": {"fg_inverse": fg_inverse.to_json(), "gf_inverse": gf_inverse.to_json()},
         "axioms": report.to_json(),
     }
-    code = _response_code(report, extra_checks=[report.witnessed_index == d.index])
+    code = _response_code(
+        report, extra_checks=[report.witnessed_index == d.index, cline_holds]
+    )
     return response, code
 
 

@@ -125,28 +125,34 @@ def endo_drazin(f):
 
 
 class Monoid:
-    """A monoid given by callbacks: mul, identity, and optional eq/key.
+    """A monoid given by callbacks: mul, identity, and an optional key.
 
-    key, when the values are hashable (the default key is the value
-    itself), lets the power walk use a dictionary; otherwise pass eq and
-    key=None for a linear-scan walk. size, when given, is the number of
-    elements and serves as the default step budget for power walks.
+    Two values are equal when their keys are equal; key defaults to the
+    value itself, so the values (or their keys) must be hashable and the
+    power walk can index them in a dictionary. size, when given, is the
+    number of elements and serves as the default step budget for power
+    walks.
     """
 
-    def __init__(self, mul, identity, eq=None, key=None, name=None, size=None):
+    def __init__(self, mul, identity, *, key=None, name=None, size=None):
         self.mul = mul
         self.identity = identity
-        self.eq = eq if eq is not None else (lambda a, b: a == b)
-        self.key = key
+        self.key = key if key is not None else _itself
         self.name = name or "monoid"
         self.size = size
-        self._use_key = key is not None or eq is None
+
+    def eq(self, a, b):
+        return self.key(a) == self.key(b)
 
     def element(self, value):
         return MonoidElement(value, self)
 
     def __repr__(self):
         return "Monoid(%s)" % self.name
+
+
+def _itself(value):
+    return value
 
 
 @dataclass
@@ -156,29 +162,22 @@ class MonoidElement:
 
 
 def _first_repeat(mon, x, max_steps):
-    """Walk x^0, x^1, ... to its first repeat x^{m+c} = x^m.
+    """Walk x^0, x^1, ... to its first repeat x^{m+c} = x^m, keyed by mon.key.
 
-    Returns (powers, m, c) with powers = [x^0 .. x^{m+c-1}].
+    Returns (powers, m, c) with powers = [x^0 .. x^{m+c-1}]: m is the tail
+    length and c the cycle length.
     """
     powers = [mon.identity]
-    if mon._use_key:
-        key = mon.key if mon.key is not None else (lambda v: v)
-        seen = {key(mon.identity): 0}
-        for step in range(1, max_steps + 1):
-            nxt = mon.mul(powers[-1], x)
-            k = key(nxt)
-            if k in seen:
-                m = seen[k]
-                return powers, m, step - m
-            seen[k] = step
-            powers.append(nxt)
-    else:
-        for step in range(1, max_steps + 1):
-            nxt = mon.mul(powers[-1], x)
-            for m, old in enumerate(powers):
-                if mon.eq(old, nxt):
-                    return powers, m, step - m
-            powers.append(nxt)
+    key = mon.key
+    seen = {key(mon.identity): 0}
+    for step in range(1, max_steps + 1):
+        nxt = mon.mul(powers[-1], x)
+        k = key(nxt)
+        if k in seen:
+            m = seen[k]
+            return powers, m, step - m
+        seen[k] = step
+        powers.append(nxt)
     raise CycleNotFoundError(
         "no repeated power of %r within %d steps" % (x, max_steps)
     )
@@ -204,28 +203,21 @@ def monoid_drazin(x, max_steps=None):
 
     max_steps defaults to the monoid size when known. With x^m = x^{m+c}
     the first repeat: x^D is x^{c-1} if m = 0, x^m if c = 1, and x^{mc-1}
-    otherwise. The index starts from the bound m and is tightened to the
-    minimal one, which costs no extra multiplications.
+    otherwise. The index is the tail length m: x*x^D is a power in the
+    cycle, so x^i * x * x^D lies in the cycle too, and for i < m it differs
+    from x^i, which lies outside it.
     """
     mon = x.monoid
     powers, m, c = _first_repeat(mon, x.value, _resolve_steps(mon, max_steps))
-
-    def power_of(e):
-        if e < len(powers):
-            return powers[e]
-        return powers[m + (e - m) % c]
-
     if m == 0:
         exponent = c - 1
     elif c == 1:
         exponent = m
     else:
         exponent = m * c - 1
-    xd = power_of(exponent)
-    index = m
-    while index > 0 and mon.eq(power_of(index + exponent), power_of(index - 1)):
-        index -= 1
-    return mon.element(xd), index
+    if exponent >= len(powers):
+        exponent = m + (exponent - m) % c
+    return mon.element(powers[exponent]), m
 
 
 def int_mod_monoid(modulus):
@@ -268,7 +260,6 @@ def fp_matrix_monoid(p, n):
     return Monoid(
         mul=lambda a, b: (a @ b) % p,
         identity=np.eye(n, dtype=np.int64),
-        eq=lambda a, b: bool((a == b).all()),
         key=lambda a: a.tobytes(),
         name="%dx%d matrices over F_%d" % (n, n, p),
         size=p ** (n * n),

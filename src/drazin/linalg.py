@@ -354,7 +354,8 @@ def invert_matrix(m):
         raise NotSquareError("invert a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
     aug = hstack(m, Matrix.identity(m.field, n))
-    reduced, pivots, rk = rref(aug)
-    if rk < n or any(p >= n for p in pivots):
-        raise SingularMatrixError("matrix of rank %d is singular" % rank(m))
+    reduced, pivots, _ = rref(aug)
+    rk = sum(1 for p in pivots if p < n)  # [m | I] has rank n; m's pivots lie left of n
+    if rk < n:
+        raise SingularMatrixError("matrix of rank %d is singular" % rk)
     return reduced.take_cols(range(n, 2 * n))

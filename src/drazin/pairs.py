@@ -27,7 +27,7 @@ from .exceptions import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .linalg import Matrix, full_rank_factorization, invert_matrix, rank
+from .linalg import Matrix, _factor, invert_matrix, rank, rref
 
 logger = logging.getLogger("drazin.pairs")
 
@@ -177,7 +177,8 @@ def moore_penrose(f):
     which Gram rank dropped.
     """
     ft = f.transpose()
-    r = rank(f)
+    reduced = rref(f)
+    r = reduced[2]
     rank_left = rank(f * ft)
     rank_right = rank(ft * f)
     if rank_left != r or rank_right != r:
@@ -188,7 +189,7 @@ def moore_penrose(f):
             drops.append("rank(f^T*f)=%d" % rank_right)
         witness = "%s < rank(f)=%d" % (" and ".join(drops), r)
         return MoorePenroseData(pseudo=None, exists=False, witness=witness)
-    fact = full_rank_factorization(f)
+    fact = _factor(f, reduced)
     left, right = fact.left, fact.right
     try:
         gram_r_inv = invert_matrix(right * right.transpose())

@@ -388,3 +388,27 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
         assert len(builds) == 1
     finally:
         cli_mod._parser.cache_clear()
+
+
+def test_pair_makes_one_pair_computation(capsys, monkeypatch):
+    import drazin.cli as cli_mod
+    import drazin.core as core
+    import drazin.pairs as pairs
+    import drazin.verify as verify
+
+    calls = {"drazin_inverse": 0, "_pair_failures": 0}
+    for name in calls:
+        real = getattr(core, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (core, pairs, verify, cli_mod):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    code, resp = run_json(
+        capsys, ["pair", "--f", "[[1,2],[0,0],[3,6]]", "--g", "[[0,1,0],[1,0,2]]"]
+    )
+    assert code == 0 and resp["axioms"]["passed"] is True
+    assert calls == {"drazin_inverse": 2, "_pair_failures": 1}

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from drazin import (
     ParseError,
     PrimeField,
     all_endofunctions,
+    check_monoid_axioms,
     drazin_inverse,
     endo_drazin,
     eventual_image,
@@ -189,24 +191,6 @@ def test_unknown_size_requires_max_steps():
     assert power_cycle(mon.element(1), max_steps=5) == (0, 1)
 
 
-def test_linear_scan_walk_agrees_with_keyed_walk():
-    keyed = int_mod_monoid(12)
-    scanning = Monoid(
-        mul=lambda a, b: (a * b) % 12,
-        identity=1,
-        eq=lambda a, b: a == b,
-        size=12,
-    )
-    assert not scanning._use_key and keyed._use_key
-    for value in range(12):
-        assert monoid_drazin(scanning.element(value))[1] == monoid_drazin(
-            keyed.element(value)
-        )[1]
-        assert monoid_drazin(scanning.element(value))[0].value == monoid_drazin(
-            keyed.element(value)
-        )[0].value
-
-
 def test_transformation_monoid_agrees_with_endo_drazin():
     rng = random.Random(3003)
     mon = transformation_monoid(4)
@@ -240,3 +224,26 @@ def test_fp_matrix_monoid_refuses_int64_overflow():
         fp_matrix_monoid(3037000493, 2)
     with pytest.raises(ValueError, match="2\\^63"):
         fp_matrix_monoid(4294967311, 2)
+
+
+def test_monoid_index_is_the_tail_length():
+    import numpy as np
+
+    rng = random.Random(3005)
+    cases = [(int_mod_monoid(m), range(m), m) for m in range(1, 100)]
+    cases += [
+        (transformation_monoid(n), product(range(n), repeat=n), n) for n in range(1, 5)
+    ]
+    for p, n in ((2, 3), (3, 2), (5, 3)):
+        samples = [
+            np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+            for _ in range(40)
+        ]
+        cases.append((fp_matrix_monoid(p, n), samples, n))
+    for mon, values, cap in cases:
+        for value in values:
+            x = mon.element(value)
+            d, index = monoid_drazin(x)
+            assert index == power_cycle(x)[0]
+            report = check_monoid_axioms(mon, value, d.value, cap)
+            assert report.passed and report.witnessed_index == index
