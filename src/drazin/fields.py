@@ -62,7 +62,7 @@ class Field:
         raise NotImplementedError
 
     def dot(self, xs, ys):
-        """Sum of products; the F_p override defers the reduction."""
+        """Sum of products of two scalar sequences."""
         total = self.zero
         for x, y in zip(xs, ys):
             total = self.add(total, self.mul(x, y))
@@ -119,9 +119,6 @@ class Rationals(Field):
             raise ZeroDivisionError("0 has no inverse in Q")
         return 1 / a
 
-    def dot(self, xs, ys):
-        return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
-
     def from_int(self, n):
         return Fraction(n)
 
@@ -134,6 +131,12 @@ class Rationals(Field):
         if isinstance(obj, int):
             return Fraction(obj)
         if isinstance(obj, str):
+            if "e" in obj or "E" in obj:
+                # Fraction expands "1eN" to 10**N, so a short string could
+                # ask for any amount of memory
+                raise ParseError(
+                    "Q scalar %r has a decimal exponent; write it as 'num/den'" % (obj,)
+                )
             try:
                 return Fraction(obj)
             except (ValueError, ZeroDivisionError) as exc:
@@ -177,9 +180,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("0 has no inverse in F_%d" % self.p)
         return pow(a, -1, self.p)
-
-    def dot(self, xs, ys):
-        return sum(x * y for x, y in zip(xs, ys)) % self.p
 
     def from_int(self, n):
         return n % self.p

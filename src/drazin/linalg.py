@@ -1,15 +1,30 @@
 """Immutable exact matrices and the elimination toolkit.
 
-Everything here is plain Gauss-Jordan over a Field context: reduced row
-echelon form with deterministic (first nonzero) pivoting, and the canonical
-bases and factorizations read off from it. Degenerate shapes (0-by-n,
-n-by-0, 0-by-0) are legal throughout.
+The product and the reduced row echelon form run on plain Python ints,
+one kernel per field, without a Field method call per scalar:
+
+* Over Q, each row of the left factor and each column of the right one is
+  scaled by the lcm of its denominators; an entry of the product is the
+  integer dot product over the two scales, one Fraction per entry. rref
+  scales each row the same way and runs Bareiss's fraction-free
+  Gauss-Jordan on the integers, dividing by the last pivot once at the end.
+  Scaling a row by a nonzero number changes neither its zero pattern nor
+  its row space, so the pivots and R are those of Gauss-Jordan over
+  Fractions, entry for entry.
+* Over F_p, the same loops reduce mod p: once per dot product, and once per
+  entry of an eliminated row.
+
+Pivoting is deterministic (the first row with a nonzero entry in the
+current column), and the canonical bases and factorizations are read off
+the rref. Degenerate shapes (0-by-n, n-by-0, 0-by-0) are legal throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .exceptions import (
     FieldMismatchError,
@@ -70,10 +85,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        one, zero = field.one, field.zero
-        rows = tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        )
+        one, zero = (field.one,), (field.zero,)
+        rows = tuple(zero * i + one + zero * (n - 1 - i) for i in range(n))
         return cls._raw(field, rows, n)
 
     @classmethod
@@ -105,7 +118,7 @@ class Matrix:
         return "Matrix(%r, %dx%d, %r)" % (self.field, self.rows, self.cols, self.entries)
 
     def _check_field(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(
                 "mixed fields %r and %r" % (self.field, other.field)
             )
@@ -146,9 +159,14 @@ class Matrix:
             )
         if self.rows == 0 or self.cols == 0 or other.cols == 0:
             return Matrix.zeros(self.field, self.rows, other.cols)
-        dot = self.field.dot
-        bt = tuple(zip(*other.entries))
-        rows = tuple(tuple(dot(row, col) for col in bt) for row in self.entries)
+        if isinstance(self.field, Rationals):
+            rows = _q_product(self.entries, other.entries)
+        else:
+            p = self.field.p
+            bt = tuple(zip(*other.entries))
+            rows = tuple(
+                tuple([sum(map(mul, row, col)) % p for col in bt]) for row in self.entries
+            )
         return Matrix._raw(self.field, rows, other.cols)
 
     def __pow__(self, k):
@@ -156,14 +174,14 @@ class Matrix:
             raise NotSquareError("power of a %dx%d matrix" % (self.rows, self.cols))
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a natural number")
-        result = Matrix.identity(self.field, self.rows)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return Matrix.identity(self.field, self.rows) if result is None else result
 
     def transpose(self):
         rows = tuple(zip(*self.entries)) if self.entries else ((),) * self.cols
@@ -255,36 +273,93 @@ def rref(m):
     tuple of pivot column indices, and rank = len(pivots). Pivoting is
     deterministic: first row with a nonzero entry in the current column.
     """
-    field = m.field
-    zero = field.zero
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
+    if isinstance(m.field, Rationals):
+        rows, pivots = _q_rref(m.entries, m.cols)
+    else:
+        rows, pivots = _fp_rref(m.entries, m.cols, m.field.p)
+    reduced = Matrix._raw(m.field, tuple(map(tuple, rows)), m.cols)
+    return reduced, tuple(pivots), len(pivots)
+
+
+def _pivots(rows, ncols):
+    """Yield (r, c) for each pivot of Gauss-Jordan on rows, in place.
+
+    Columns are scanned left to right; the first row at or below r with a
+    nonzero entry in column c is swapped up to row r before the yield. The
+    caller clears column c outside row r before asking for the next pivot.
+    """
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != zero:
-                pivot_row = i
+        if r == len(rows):
+            return
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                rows[r], rows[i] = rows[i], rows[r]
+                yield r, c
+                r += 1
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv_p = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv_p, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != zero:
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(a, field.mul(factor, b))
-                    for a, b in zip(rows[i], rows[r])
-                ]
+
+
+def _fp_rref(entries, ncols, p):
+    """Gauss-Jordan over F_p on ints in [0, p), reducing each entry once per step."""
+    rows = [list(row) for row in entries]
+    pivots = []
+    for r, c in _pivots(rows, ncols):
+        prow = rows[r]
+        inv = pow(prow[c], -1, p)
+        if inv != 1:
+            prow = rows[r] = [x * inv % p for x in prow]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if a and i != r:
+                rows[i] = [(x - a * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    reduced = Matrix._raw(field, tuple(tuple(row) for row in rows), ncols)
-    return reduced, tuple(pivots), len(pivots)
+    return rows, pivots
+
+
+def _q_rref(entries, ncols):
+    """Bareiss's fraction-free Gauss-Jordan on the row-cleared integers.
+
+    Every row other than the pivot row becomes (p*row - a*prow) // prev,
+    with p the pivot, a the row's entry in the pivot column and prev the
+    previous pivot (1 at first). Sylvester's identity makes each division
+    exact. A row with a = 0 takes the same formula: p*row is a multiple of
+    prev, while p itself need not be. Every row stays a nonzero multiple of
+    its counterpart in Gauss-Jordan over Fractions, so the zero pattern,
+    hence the pivots, is the same. Each pivot row ends with the last pivot
+    in its pivot column, so one division by it gives R.
+    """
+    rows = [row for row, _ in _cleared(entries)]
+    pivots = []
+    prev = 1
+    for r, c in _pivots(rows, ncols):
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                a = row[c]
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+        prev = p
+        pivots.append(c)
+    return [[Fraction(x, prev) for x in row] for row in rows], pivots
+
+
+def _cleared(vectors):
+    """Each vector of rationals as (ints, d): the vector times d, its denominators' lcm."""
+    out = []
+    for v in vectors:
+        d = lcm(*[x.denominator for x in v])
+        out.append(([x.numerator * (d // x.denominator) for x in v], d))
+    return out
+
+
+def _q_product(a, b):
+    """Entries of a*b over Q: integer dot products of cleared rows of a and columns of b."""
+    cols = _cleared(zip(*b))
+    return tuple(
+        tuple([Fraction(sum(map(mul, row, col)), d * e) for col, e in cols])
+        for row, d in _cleared(a)
+    )
 
 
 def rank(m):

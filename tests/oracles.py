@@ -36,51 +36,47 @@ def frac_identity(n):
     return identity_tuple(n, Fraction(1), Fraction(0))
 
 
-def modp_rank(m, p):
-    """Row echelon rank over F_p, written independently of the library."""
-    work = [list(row) for row in m]
-    rank = 0
-    cols = len(m[0]) if m else 0
+def _rref(work, inv, norm):
+    """Gauss-Jordan on a list of rows whose entries are in normal form.
+
+    Pivoting takes the first row with a nonzero entry in the current column;
+    inv inverts a nonzero scalar and norm brings a scalar to normal form.
+    Returns (R, pivots) as tuples.
+    """
+    cols = len(work[0]) if work else 0
+    pivots = []
     for col in range(cols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r][col] % p != 0:
-                pivot = r
-                break
-        if pivot is None:
+        rank = len(pivots)
+        below = [r for r in range(rank, len(work)) if work[r][col] != 0]
+        if not below:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [(v * inv) % p for v in work[rank]]
+        work[rank], work[below[0]] = work[below[0]], work[rank]
+        scale = inv(work[rank][col])
+        work[rank] = [norm(v * scale) for v in work[rank]]
         for r in range(len(work)):
-            if r != rank and work[r][col] % p != 0:
-                factor = work[r][col]
-                work[r] = [(work[r][j] - factor * work[rank][j]) % p for j in range(cols)]
-        rank += 1
-    return rank
+            factor = work[r][col]
+            if r != rank and factor != 0:
+                work[r] = [norm(work[r][j] - factor * work[rank][j]) for j in range(cols)]
+        pivots.append(col)
+    return tuple(tuple(row) for row in work), tuple(pivots)
+
+
+def frac_rref(m):
+    """Reduced row echelon form over Q, written independently of the library."""
+    return _rref([[Fraction(v) for v in row] for row in m], lambda v: 1 / v, lambda v: v)
+
+
+def modp_rref(m, p):
+    """Reduced row echelon form over F_p, written independently of the library."""
+    return _rref([[v % p for v in row] for row in m], lambda v: pow(v, -1, p), lambda v: v % p)
+
+
+def modp_rank(m, p):
+    return len(modp_rref(m, p)[1])
 
 
 def frac_rank(m):
-    work = [[Fraction(v) for v in row] for row in m]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [work[r][j] - factor * work[rank][j] for j in range(cols)]
-        rank += 1
-    return rank
+    return len(frac_rref(m)[1])
 
 
 def drazin_axioms_hold(x, c, matmul, ident):

@@ -318,8 +318,9 @@ def test_criterion_4_axiom_law_suite():
     for f, fd, k in endo_results():
         assert_endo_laws(f, fd, k, rng)
     elapsed = time.monotonic() - start
+    assert elapsed < 120, elapsed
     print(
-        "CRITERION 4 PASS (%d matrix cases + %d endofunction cases, %.1fs)"
+        "CRITERION 4 PASS (%d matrix cases + %d endofunction cases, %.1fs, budget 120s)"
         % (len(matrix_cases), len(endo_results()), elapsed)
     )
 

@@ -355,6 +355,11 @@ def test_malformed_matrix_exit_one(capsys, payload):
     assert code == 1 and "error" in resp
 
 
+def test_exponent_scalar_exit_one(capsys):
+    code, resp = run_json(capsys, ["drazin", "--matrix", '[["1e50",0],[0,1]]'])
+    assert code == 1 and "error" in resp and "exponent" in resp["error"]
+
+
 def test_route_c_refuses_int64_overflow():
     # With p = 4294967311 the int64 power walk of this order-2 matrix wraps
     # around and never closes; route C must refuse before walking.

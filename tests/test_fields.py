@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from drazin import NonPrimeModulusError, PrimeField, Q, is_prime
+from drazin import NonPrimeModulusError, ParseError, PrimeField, Q, is_prime
 
 
 def test_is_prime_matches_sympy_up_to_2000():
@@ -42,6 +42,13 @@ def test_rationals_scalar_json_round_trip():
     assert Q.scalar_from_json(5) == Fraction(5)
     assert Q.scalar_from_json("5") == Fraction(5)
     assert Q.scalar_from_json("-2/6") == Fraction(-1, 3)
+    assert Q.scalar_from_json("2.5") == Fraction(5, 2)
+
+
+@pytest.mark.parametrize("text", ["1e50", "1E5", "2.5e3", "-3e-2"])
+def test_rationals_refuse_decimal_exponents(text):
+    with pytest.raises(ParseError):
+        Q.scalar_from_json(text)
 
 
 def test_prime_field_arithmetic():

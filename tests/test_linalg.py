@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazin import (
     FieldMismatchError,
@@ -24,7 +26,7 @@ from drazin import (
     vstack,
 )
 
-from oracles import frac_rank, modp_rank
+from oracles import frac_matmul, frac_rank, frac_rref, modp_matmul, modp_rank, modp_rref
 
 F5 = PrimeField(5)
 
@@ -231,3 +233,88 @@ def test_immutability():
     m = q([[1]])
     with pytest.raises(AttributeError):
         m.rows = 2
+
+
+# Property tests: the integer kernels behind Matrix.__mul__ and rref against
+# the Fraction and mod-p oracles, on every shape up to 7, including 0-by-n
+# and n-by-0, on low-rank products, and on negative and fractional entries.
+
+DIMS = st.integers(0, 7)
+Q_ENTRIES = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-50, max_value=50, max_denominator=12)
+)
+FP_ENTRIES = st.integers(-300, 300)
+PRIMES = st.sampled_from([2, 3, 5, 101])
+
+
+def grid(draw, entry, rows, cols):
+    return tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
+
+
+@st.composite
+def factor_pairs(draw, entry):
+    """(a, b, inner, cols): a is rows-by-inner and b inner-by-cols."""
+    rows, inner, cols = draw(DIMS), draw(DIMS), draw(DIMS)
+    return grid(draw, entry, rows, inner), grid(draw, entry, inner, cols), inner, cols
+
+
+@st.composite
+def reducible(draw, entry, matmul):
+    """(m, cols): a random matrix, or a product L*R of rank at most k."""
+    rows, cols = draw(DIMS), draw(DIMS)
+    if draw(st.booleans()):
+        return grid(draw, entry, rows, cols), cols
+    k = draw(st.integers(0, min(rows, cols)))
+    if k == 0:
+        return grid(draw, st.just(0), rows, cols), cols
+    return matmul(grid(draw, entry, rows, k), grid(draw, entry, k, cols)), cols
+
+
+def expected_product(matmul, a, b, inner, cols):
+    if inner == 0:  # the oracles read the width of b off its first row
+        return tuple((0,) * cols for _ in a)
+    return matmul(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_pairs(Q_ENTRIES))
+def test_q_product_matches_oracle(case):
+    a, b, inner, cols = case
+    got = Matrix(Q, a, cols=inner) * Matrix(Q, b, cols=cols)
+    assert (got.rows, got.cols) == (len(a), cols)
+    assert got.entries == expected_product(frac_matmul, a, b, inner, cols)
+    assert all(type(v) is Fraction for row in got.entries for v in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRIMES, factor_pairs(FP_ENTRIES))
+def test_fp_product_matches_oracle(p, case):
+    a, b, inner, cols = case
+    field = PrimeField(p)
+    got = Matrix(field, a, cols=inner) * Matrix(field, b, cols=cols)
+    assert (got.rows, got.cols) == (len(a), cols)
+    assert got.entries == expected_product(lambda x, y: modp_matmul(x, y, p), a, b, inner, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reducible(Q_ENTRIES, frac_matmul))
+def test_q_rref_matches_oracle(case):
+    m, cols = case
+    reduced, pivots, rk = rref(Matrix(Q, m, cols=cols))
+    want, want_pivots = frac_rref(m)
+    assert pivots == want_pivots and rk == len(want_pivots)
+    assert (reduced.rows, reduced.cols) == (len(m), cols)
+    assert reduced.entries == want
+    assert all(type(v) is Fraction for row in reduced.entries for v in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fp_rref_matches_oracle(data):
+    p = data.draw(PRIMES)
+    m, cols = data.draw(reducible(FP_ENTRIES, lambda x, y: modp_matmul(x, y, p)))
+    reduced, pivots, rk = rref(Matrix(PrimeField(p), m, cols=cols))
+    want, want_pivots = modp_rref(m, p)
+    assert pivots == want_pivots and rk == len(want_pivots)
+    assert (reduced.rows, reduced.cols) == (len(m), cols)
+    assert reduced.entries == want
