@@ -146,15 +146,15 @@ def _drazin_failures(x, xd, cap, mul, one, eq):
     """The failed tags of [D.1-3] for xd and the least k witnessing [D.1]."""
     x_xd = mul(x, xd)
     k = _absorption_index(x, x_xd, cap, mul, one, eq)
+    failed = ["D.1"] if k is None else []
+    return failed + _inner_failures("D", x, xd, x_xd, mul, eq), k
+
+
+def _inner_failures(system, x, xd, x_xd, mul, eq):
+    """[D.2-3], tagged D or G: xd*x*xd = xd; xd*x = x*xd."""
     xd_x = mul(xd, x)
-    failed = []
-    if k is None:
-        failed.append("D.1")
-    if not eq(mul(xd_x, xd), xd):
-        failed.append("D.2")
-    if not eq(xd_x, x_xd):
-        failed.append("D.3")
-    return failed, k
+    holds = [eq(mul(xd_x, xd), xd), eq(xd_x, x_xd)]
+    return ["%s.%d" % (system, i) for i, ok in enumerate(holds, 2) if not ok]
 
 
 def _pair_failures(f, g, u, v):
@@ -167,11 +167,19 @@ def _pair_failures(f, g, u, v):
     k2 = _absorption_index(gf, g * v, cap, *_matrix_carrier(gf))
     witnessed = None if None in (k1, k2) else max(k1, k2)
     failed = [] if witnessed is not None else ["DV.1"]
-    if u * f * u != u or v * g * v != v:
-        failed.append("DV.2")
-    if f * u != v * g or u * f != g * v:
-        failed.append("DV.3")
-    return failed, witnessed
+    return failed + _pair_inner_failures("DV", f, g, u, v), witnessed
+
+
+def _pair_inner_failures(system, f, g, u, v):
+    """[DV.2-3], tagged DV or GV: u*f*u = u, v*g*v = v; f*u = v*g, u*f = g*v."""
+    holds = [u * f * u == u and v * g * v == v, f * u == v * g and u * f == g * v]
+    return ["%s.%d" % (system, i) for i, ok in enumerate(holds, 2) if not ok]
+
+
+def _group_pair_absorbs(f, g, u, v):
+    """[GV.1]: g*v*(g*f) = g*f and f*u*(f*g) = f*g."""
+    fg, gf = f * g, g * f
+    return g * v * gf == gf and f * u * fg == fg
 
 
 def _penrose_failures(f, pseudo):

@@ -5,13 +5,15 @@ e_x, core-nilpotent, the complement formula, the Fitting similarity, the
 image-kernel construction (Route B), eventuating families, and the power
 isomorphism check.
 
-Every operation that consumes a DrazinData revalidates it on entry, so a
-stale or hand-built bundle fails fast instead of corrupting results.
+Every operation that consumes a DrazinData revalidates it once per (x, d)
+pair, so a stale or hand-built bundle fails fast instead of corrupting
+results; x^k, x^{k+1}, e_x's splitting and x - x*x^D*x are built once too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import DrazinData, _power_walk, verify_drazin_data
 from .exceptions import (
@@ -78,6 +80,46 @@ def split_idempotent(e):
     )
 
 
+class _DrazinContext:
+    """What the entries share for one validated (x, d), each part built on first use."""
+
+    def __init__(self, x, d):  # d's fields, not d: d holds the context
+        self.x, self.k, self.xd, self.e = x, d.index, d.inverse, d.idempotent
+
+    @cached_property
+    def power(self):  # x^k
+        return self.x ** self.k
+
+    @cached_property
+    def nilpotent_part(self):
+        return self.x - self.x * self.xd * self.x
+
+    @cached_property
+    def splitting(self):
+        return split_idempotent(self.e)
+
+    @cached_property
+    def shifted(self):
+        """(x^{k+1}, (x^{k+1} + (I - e_x))^{-1} or None when singular)."""
+        power = self.power * self.x
+        comp = Matrix.identity(self.x.field, self.x.rows) - self.e
+        try:
+            return power, invert_matrix(power + comp)
+        except SingularMatrixError:
+            return power, None
+
+
+def _certified(x, d):
+    """The context of (x, d), stored on d and keyed on x's identity. Only its first
+    use validates; another x or a new bundle (dataclasses.replace too) revalidates."""
+    ctx = getattr(d, "_context", None)
+    if ctx is None or ctx.x is not x:
+        verify_drazin_data(x, d)
+        ctx = _DrazinContext(x, d)
+        object.__setattr__(d, "_context", ctx)  # as functools.cached_property does
+    return ctx
+
+
 def splitting_iso(x, d):
     """The invertible map alpha induced by x on the retract of e_x.
 
@@ -85,8 +127,8 @@ def splitting_iso(x, d):
     commuting squares, the triangle with x^k, and the inverse identity are
     checked exactly before returning.
     """
-    verify_drazin_data(x, d)
-    sp = split_idempotent(d.idempotent)
+    ctx = _certified(x, d)
+    sp = ctx.splitting
     r, s = sp.retraction, sp.section
     alpha = r * x * s
     alpha_inv = r * d.inverse * s
@@ -95,7 +137,7 @@ def splitting_iso(x, d):
         raise InternalInconsistencyError("alpha and r*x^D*s are not mutually inverse")
     if r * x != alpha * r or x * s != s * alpha:
         raise InternalInconsistencyError("alpha squares do not commute")
-    xk = x ** d.index
+    xk = ctx.power
     e = d.idempotent
     if e * xk != xk or xk * e != xk:
         raise InternalInconsistencyError("x^k does not factor through the retract")
@@ -104,9 +146,8 @@ def splitting_iso(x, d):
 
 def core_nilpotent(x, d):
     """x = core + nilpotent_part with the three separation axioms."""
-    verify_drazin_data(x, d)
-    core = x * d.inverse * x
-    nilpotent_part = x - core
+    nilpotent_part = _certified(x, d).nilpotent_part
+    core = x - nilpotent_part
     # A nilpotent matrix's index is its nilpotency degree, and its rank
     # chain stabilizes at 0.
     nilpotent_index, _, _, (_, _, stable_rank) = _power_walk(nilpotent_part)
@@ -119,21 +160,10 @@ def core_nilpotent(x, d):
     )
 
 
-def _shifted_power(x, d):
-    """(x^k, x^{k+1}, (x^{k+1} + (I - e_x))^{-1} or None when singular)."""
-    verify_drazin_data(x, d)
-    xk = x ** d.index
-    power = xk * x
-    try:
-        inv = invert_matrix(power + (Matrix.identity(x.field, x.rows) - d.idempotent))
-    except SingularMatrixError:
-        inv = None
-    return xk, power, inv
-
-
 def complement_formula_check(x, d):
     """Does x^D = x^k * (x^{k+1} + (I - e_x))^{-1}, in both orders?"""
-    xk, _, inv = _shifted_power(x, d)
+    ctx = _certified(x, d)
+    xk, (_, inv) = ctx.power, ctx.shifted
     return inv is not None and d.inverse == xk * inv and d.inverse == inv * xk
 
 
@@ -143,18 +173,15 @@ def fitting_decomposition(x, d):
     p's columns are the sections of the splittings of e_x and of I - e_x;
     its inverse is the stacked retractions (the cross blocks vanish).
     """
-    verify_drazin_data(x, d)
-    e = d.idempotent
-    comp = Matrix.identity(x.field, x.rows) - e
-    sp = split_idempotent(e)
-    sp_c = split_idempotent(comp)
+    ctx = _certified(x, d)
+    sp = ctx.splitting
+    sp_c = split_idempotent(Matrix.identity(x.field, x.rows) - d.idempotent)
     p = hstack(sp.section, sp_c.section)
     p_inv = vstack(sp.retraction, sp_c.retraction)
     if p * p_inv != Matrix.identity(x.field, x.rows):
         raise InternalInconsistencyError("stacked splittings failed to invert p")
-    nilpotent_part = x - x * d.inverse * x
     alpha = sp.retraction * x * sp.section
-    eta = sp_c.retraction * nilpotent_part * sp_c.section
+    eta = sp_c.retraction * ctx.nilpotent_part * sp_c.section
     if x != p * block_diag(alpha, eta) * p_inv:
         raise InternalInconsistencyError("Fitting blocks do not reassemble x")
     return FittingData(
@@ -210,12 +237,12 @@ def eventuating_family(x, d, N=None):
     s_i = x^i * s_0 and r_i = r_0 * (x^D)^i for i > 0, and with the roles of
     x and x^D exchanged for i < 0. N defaults to index + 2.
     """
-    verify_drazin_data(x, d)
+    ctx = _certified(x, d)
     if N is None:
         N = d.index + 2
     if not isinstance(N, int) or N < 1:
         raise ValueError("window radius N must be a natural number >= 1")
-    sp = split_idempotent(d.idempotent)
+    sp = ctx.splitting
     xd = d.inverse
     # Each step extends the last: indices 0..N rightwards, 0..-N leftwards.
     s_right, r_right = [sp.section], [sp.retraction]
@@ -239,6 +266,6 @@ def munn_power_iso_check(x, d):
     Concretely: e_x absorbs x^{k+1} on both sides and x^{k+1} + (I - e_x)
     is invertible.
     """
-    _, power, inv = _shifted_power(x, d)
+    power, inv = _certified(x, d).shifted
     e = d.idempotent
     return e * power == power and power * e == power and inv is not None

@@ -185,9 +185,7 @@ def _first_repeat(mon, x, max_steps):
 
 def power_cycle(x, max_steps=None):
     """(m, c) of the first repeated power x^m = x^{m+c}."""
-    mon = x.monoid
-    _, m, c = _first_repeat(mon, x.value, _resolve_steps(mon, max_steps))
-    return m, c
+    return _cycle_drazin(x, max_steps)[1:]
 
 
 def _resolve_steps(mon, max_steps):
@@ -207,6 +205,11 @@ def monoid_drazin(x, max_steps=None):
     cycle, so x^i * x * x^D lies in the cycle too, and for i < m it differs
     from x^i, which lies outside it.
     """
+    return _cycle_drazin(x, max_steps)[:2]
+
+
+def _cycle_drazin(x, max_steps):
+    """(x^D, m, c), all read off one walk to the first repeat x^m = x^{m+c}."""
     mon = x.monoid
     powers, m, c = _first_repeat(mon, x.value, _resolve_steps(mon, max_steps))
     if m == 0:
@@ -217,7 +220,7 @@ def monoid_drazin(x, max_steps=None):
         exponent = m * c - 1
     if exponent >= len(powers):
         exponent = m + (exponent - m) % c
-    return mon.element(powers[exponent]), m
+    return mon.element(powers[exponent]), m, c
 
 
 def int_mod_monoid(modulus):

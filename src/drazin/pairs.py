@@ -15,6 +15,7 @@ from typing import Optional
 
 from .core import (
     _absorption_index,
+    _group_pair_absorbs,
     _matrix_carrier,
     _pair_failures,
     _penrose_failures,
@@ -145,10 +146,7 @@ def check_pair_group(pair, d):
     verify_pair_data(pair, d)
     if d.index > 1:
         return False
-    f, g = pair.forward, pair.backward
-    gv1_a = g * d.g_over_f * (g * f) == g * f
-    gv1_b = f * d.f_over_g * (f * g) == f * g
-    if not (gv1_a and gv1_b):
+    if not _group_pair_absorbs(pair.forward, pair.backward, d.f_over_g, d.g_over_f):
         raise InternalInconsistencyError(
             "index <= 1 but a group absorption equation fails"
         )

@@ -17,7 +17,10 @@ from typing import Optional
 from .core import (
     DrazinData,
     _drazin_failures,
+    _group_pair_absorbs,
+    _inner_failures,
     _pair_failures,
+    _pair_inner_failures,
     _penrose_failures,
     _power_walk,
     drazin_index,
@@ -139,14 +142,10 @@ def _check_d(x, inverse):
 
 
 def _check_g(x, inverse):
-    failed = []
-    if x * inverse * x != x:
-        failed.append("G.1")
-    if inverse * x * inverse != inverse:
-        failed.append("G.2")
-    if inverse * x != x * inverse:
-        failed.append("G.3")
-    return _report("G", failed)
+    x_xd = x * inverse
+    failed = [] if x_xd * x == x else ["G.1"]
+    inner = _inner_failures("G", x, inverse, x_xd, operator.mul, operator.eq)
+    return _report("G", failed + inner)
 
 
 def _check_dv(f, g, f_over_g, g_over_f):
@@ -154,16 +153,8 @@ def _check_dv(f, g, f_over_g, g_over_f):
 
 
 def _check_gv(f, g, f_over_g, g_over_f):
-    failed = []
-    fg = f * g
-    gf = g * f
-    if g * g_over_f * gf != gf or f * f_over_g * fg != fg:
-        failed.append("GV.1")
-    if f_over_g * f * f_over_g != f_over_g or g_over_f * g * g_over_f != g_over_f:
-        failed.append("GV.2")
-    if f * f_over_g != g_over_f * g or f_over_g * f != g * g_over_f:
-        failed.append("GV.3")
-    return _report("GV", failed)
+    failed = [] if _group_pair_absorbs(f, g, f_over_g, g_over_f) else ["GV.1"]
+    return _report("GV", failed + _pair_inner_failures("GV", f, g, f_over_g, g_over_f))
 
 
 def _check_mp(f, pseudo):

@@ -173,6 +173,37 @@ def test_monoid_budget_error(capsys):
     assert "error" in resp
 
 
+def test_monoid_walks_the_power_cycle_once(capsys, monkeypatch):
+    import drazin.finite as finite
+
+    walks = []
+    real = finite._first_repeat
+
+    def counting(*args):
+        walks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(finite, "_first_repeat", counting)
+    code, resp = run_json(capsys, ["monoid", "--modulus", "12", "--element", "2"])
+    assert code == 0 and resp["inverse"] == 8
+    assert len(walks) == 1
+
+
+def test_monoid_default_step_limit(capsys):
+    import drazin.cli as cli_mod
+
+    limit = cli_mod._MONOID_STEP_LIMIT
+    assert limit == 10 ** 6
+    # 1000003 is prime and 2 generates its unit group, so the powers of 2 first
+    # repeat after 1000002 > limit steps; without --max-steps the walk stops.
+    code, resp = run_json(capsys, ["monoid", "--modulus", "1000003", "--element", "2"])
+    assert code == 1
+    assert str(limit) in resp["error"]
+    with pytest.raises(SystemExit):
+        main(["monoid", "--help"])
+    assert str(limit) in capsys.readouterr().out
+
+
 def test_decompose_frozen(capsys):
     code, resp = run_json(
         capsys, ["decompose", "--matrix", "[[2,0,0],[0,0,1],[0,0,0]]"]

@@ -1,7 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazin import (
     Matrix,
@@ -16,10 +19,12 @@ from drazin import (
     eventuating_family,
     fitting_decomposition,
     image_kernel_drazin,
+    invert_matrix,
     munn_power_iso_check,
     rank,
     split_idempotent,
     splitting_iso,
+    verify_drazin_data,
 )
 
 F5 = PrimeField(5)
@@ -196,3 +201,96 @@ def test_complement_and_munn_hold():
         d = drazin_inverse(x)
         assert complement_formula_check(x, d)
         assert munn_power_iso_check(x, d)
+
+
+# -- the certified context: one validation per (x, d) --------------------------
+
+ENTRIES = (
+    splitting_iso,
+    core_nilpotent,
+    fitting_decomposition,
+    eventuating_family,
+    complement_formula_check,
+    munn_power_iso_check,
+)
+
+
+def test_six_entries_validate_once(monkeypatch):
+    import drazin.decompositions as decompositions
+
+    calls = []
+    real = decompositions.verify_drazin_data
+
+    def counting(x, d):
+        calls.append(1)
+        return real(x, d)
+
+    monkeypatch.setattr(decompositions, "verify_drazin_data", counting)
+    d = drazin_inverse(MIXED)
+    for entry in ENTRIES:
+        entry(MIXED, d)
+    assert len(calls) == 1
+    # An equal matrix that is another object is validated again.
+    twin = q([[2, 0, 0], [0, 0, 1], [0, 0, 0]])
+    splitting_iso(twin, d)
+    assert len(calls) == 2
+
+
+def test_tampered_copy_of_a_used_bundle_still_raises():
+    d = drazin_inverse(MIXED)
+    for entry in ENTRIES:
+        entry(MIXED, d)
+    tampered = (
+        dataclasses.replace(d, inverse=q([[1, 0, 0], [0, 0, 0], [0, 0, 0]])),
+        dataclasses.replace(d, index=1),
+        dataclasses.replace(d, idempotent=Matrix.identity(Q, 3)),
+    )
+    for bad in tampered:
+        with pytest.raises(ValueError) as want:
+            verify_drazin_data(MIXED, bad)
+        for entry in ENTRIES:
+            with pytest.raises(ValueError) as got:
+                entry(MIXED, bad)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+
+def test_validated_bundle_with_another_matrix_raises():
+    d = drazin_inverse(MIXED)
+    splitting_iso(MIXED, d)
+    other = q([[2, 0, 0], [0, 0, 1], [0, 0, 3]])
+    for entry in ENTRIES:
+        with pytest.raises(ValueError):
+            entry(other, d)
+
+
+@st.composite
+def drazin_inputs(draw):
+    """Square matrices over Q, F_2 and F_3: random, invertible or nilpotent."""
+    field = draw(st.sampled_from([Q, PrimeField(2), PrimeField(3)]))
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+
+    def grid(keep):
+        return [[draw(entry) if keep(i, j) else int(i == j) for j in range(n)] for i in range(n)]
+
+    kind = draw(st.sampled_from(["random", "invertible", "nilpotent"]))
+    if kind == "random":
+        return Matrix(field, grid(lambda i, j: True))
+    lower = Matrix(field, grid(lambda i, j: j < i))  # unit lower triangular
+    upper = Matrix(field, grid(lambda i, j: j > i))  # unit upper triangular
+    if kind == "invertible":
+        return lower * upper
+    strict = upper - Matrix.identity(field, n)
+    return lower * strict * invert_matrix(lower)
+
+
+@settings(max_examples=120, deadline=None)
+@given(drazin_inputs())
+def test_entries_agree_on_route_a_and_route_b_bundles(x):
+    a, b = drazin_inverse(x), image_kernel_drazin(x)
+    want = [entry(x, a) for entry in ENTRIES]
+    # Route B's bundle is consumed in the opposite order, so every shared
+    # part of its context is built by a different entry first.
+    got = [entry(x, b) for entry in reversed(ENTRIES)][::-1]
+    assert got == want

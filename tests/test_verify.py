@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -31,6 +32,7 @@ from drazin import (
     pair_drazin,
     transformation_monoid,
 )
+from oracles import modp_matmul
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -109,6 +111,72 @@ def test_check_dv_on_computed_pair():
         "GV", f=f, g=g, f_over_g=d.f_over_g, g_over_f=d.g_over_f
     )
     assert gv.passed
+
+
+def _f2_mul(a, b):
+    return modp_matmul(a, b, 2)
+
+
+def _failed_tags(system, holds):
+    return tuple("%s.%d" % (system, i) for i, ok in enumerate(holds, 1) if not ok)
+
+
+def test_check_g_exhaustive_2x2_f2():
+    # Every x and every claim: the report against the G equations evaluated
+    # on plain tuples, and the frozen tally of outcomes.
+    mm = _f2_mul
+    tally = Counter()
+    matrices = list(all_matrices(F2, 2, 2))
+    for x in matrices:
+        for claim in matrices:
+            a, c = x.entries, claim.entries
+            want = _failed_tags(
+                "G", [mm(mm(a, c), a) == a, mm(mm(c, a), c) == c, mm(c, a) == mm(a, c)]
+            )
+            rep = check_axioms("G", x=x, inverse=claim)
+            assert (rep.failed_axioms, rep.passed) == (want, not want)
+            assert rep.witnessed_index is None
+            tally[want] += 1
+    assert tally == {
+        (): 13,
+        ("G.1",): 21,
+        ("G.2",): 21,
+        ("G.3",): 30,
+        ("G.1", "G.2"): 33,
+        ("G.1", "G.3"): 30,
+        ("G.2", "G.3"): 30,
+        ("G.1", "G.2", "G.3"): 78,
+    }
+
+
+def test_check_gv_exhaustive_f2_column_row_pairs():
+    # f: 2x1, g: 1x2, f^{D/g}: 1x2 and g^{D/f}: 2x1, all over F_2.
+    mm = _f2_mul
+    tally = Counter()
+    columns = list(all_matrices(F2, 2, 1))
+    rows = list(all_matrices(F2, 1, 2))
+    for f, g, u, v in product(columns, rows, rows, columns):
+        a, b, c, e = f.entries, g.entries, u.entries, v.entries
+        fg, gf = mm(a, b), mm(b, a)
+        want = _failed_tags("GV", [
+            mm(mm(b, e), gf) == gf and mm(mm(a, c), fg) == fg,
+            mm(mm(c, a), c) == c and mm(mm(e, b), e) == e,
+            mm(a, c) == mm(e, b) and mm(c, a) == mm(b, e),
+        ])
+        rep = check_axioms("GV", f=f, g=g, f_over_g=u, g_over_f=v)
+        assert (rep.failed_axioms, rep.passed) == (want, not want)
+        assert rep.witnessed_index is None
+        tally[want] += 1
+    assert tally == {
+        (): 13,
+        ("GV.1",): 9,
+        ("GV.2",): 33,
+        ("GV.3",): 48,
+        ("GV.1", "GV.2"): 3,
+        ("GV.1", "GV.3"): 30,
+        ("GV.2", "GV.3"): 66,
+        ("GV.1", "GV.2", "GV.3"): 54,
+    }
 
 
 def test_check_gv_fails_at_high_pair_index():
