@@ -39,8 +39,10 @@ from .verify import check_axioms, check_monoid_axioms, monoid_cycle_drazin
 
 __all__ = ["main"]
 
-# Default --max-steps of `monoid`. Its walk keeps every power, about 140 MB per
-# million steps, and repeats within modulus steps, so it is capped there too.
+# Step limit of the power walks: the default --max-steps of `monoid` (whose
+# powers repeat within modulus steps, so it is capped there too) and the fixed
+# budget of `drazin --route C`, whose own default, p^(n^2), bounds nothing in
+# practice. A walk keeps every power, about 140 MB per million steps.
 _MONOID_STEP_LIMIT = 10 ** 6
 
 
@@ -88,7 +90,7 @@ def _cmd_drazin(args):
     if args.route == "B":
         d = image_kernel_drazin(x)
     elif args.route == "C":
-        d = monoid_cycle_drazin(x)
+        d = monoid_cycle_drazin(x, max_steps=_MONOID_STEP_LIMIT)
     else:
         d = drazin_inverse(x)
     report = check_axioms("D", x=x, inverse=d.inverse)

@@ -7,7 +7,8 @@ isomorphism check.
 
 Every operation that consumes a DrazinData revalidates it once per (x, d)
 pair, so a stale or hand-built bundle fails fast instead of corrupting
-results; x^k, x^{k+1}, e_x's splitting and x - x*x^D*x are built once too.
+results; x^k, x^{k+1}, e_x's splitting, alpha = r*x*s and x - x*x^D*x are
+built once too.
 """
 
 from __future__ import annotations
@@ -99,6 +100,11 @@ class _DrazinContext:
         return split_idempotent(self.e)
 
     @cached_property
+    def alpha(self):  # r*x*s for the splitting (r, s) of e_x
+        sp = self.splitting
+        return sp.retraction * self.x * sp.section
+
+    @cached_property
     def shifted(self):
         """(x^{k+1}, (x^{k+1} + (I - e_x))^{-1} or None when singular)."""
         power = self.power * self.x
@@ -129,8 +135,7 @@ def splitting_iso(x, d):
     """
     ctx = _certified(x, d)
     sp = ctx.splitting
-    r, s = sp.retraction, sp.section
-    alpha = r * x * s
+    r, s, alpha = sp.retraction, sp.section, ctx.alpha
     alpha_inv = r * d.inverse * s
     ident = Matrix.identity(x.field, sp.through_dim)
     if alpha * alpha_inv != ident or alpha_inv * alpha != ident:
@@ -180,7 +185,7 @@ def fitting_decomposition(x, d):
     p_inv = vstack(sp.retraction, sp_c.retraction)
     if p * p_inv != Matrix.identity(x.field, x.rows):
         raise InternalInconsistencyError("stacked splittings failed to invert p")
-    alpha = sp.retraction * x * sp.section
+    alpha = ctx.alpha
     eta = sp_c.retraction * ctx.nilpotent_part * sp_c.section
     if x != p * block_diag(alpha, eta) * p_inv:
         raise InternalInconsistencyError("Fitting blocks do not reassemble x")

@@ -1,14 +1,16 @@
 """Exact field contexts: the rationals Q and prime fields F_p.
 
 Scalars are plain Python values (fractions.Fraction for Q, ints in [0, p)
-for F_p); a Field object supplies the operations and the JSON encoding.
-Keeping scalars unwrapped keeps exhaustive sweeps cheap and makes canonical
-form automatic.
+for F_p), so canonical form is automatic and the arithmetic on them is the
+native operators, applied a whole matrix at a time in linalg. A Field
+object supplies what is left: the constants zero and one, parsing and JSON
+encoding of scalars, the field descriptor, and from_int and dot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .exceptions import NonPrimeModulusError, ParseError
 
@@ -46,27 +48,9 @@ def is_prime(n):
 class Field:
     """Common interface; use the Q singleton or PrimeField(p)."""
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def dot(self, xs, ys):
         """Sum of products of two scalar sequences."""
-        total = self.zero
-        for x, y in zip(xs, ys):
-            total = self.add(total, self.mul(x, y))
-        return total
+        return self.from_int(sum(map(mul, xs, ys)))
 
     def from_int(self, n):
         raise NotImplementedError
@@ -101,23 +85,6 @@ class Field:
 class Rationals(Field):
     zero = Fraction(0)
     one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in Q")
-        return 1 / a
 
     def from_int(self, n):
         return Fraction(n)
@@ -163,23 +130,6 @@ class PrimeField(Field):
         self.p = p
         self.zero = 0
         self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("0 has no inverse in F_%d" % self.p)
-        return pow(a, -1, self.p)
 
     def from_int(self, n):
         return n % self.p

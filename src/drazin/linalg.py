@@ -1,7 +1,10 @@
 """Immutable exact matrices and the elimination toolkit.
 
-The product and the reduced row echelon form run on plain Python ints,
-one kernel per field, without a Field method call per scalar:
+All matrix arithmetic runs on the plain scalars with the native operators,
+without a Field method call per scalar: each operation looks at the field
+once. Sums, differences, negation, scaling and kernel bases map one operator
+over the entries (reduced once mod p over F_p). The product and the reduced
+row echelon form run on plain Python ints, one kernel per field:
 
 * Over Q, each row of the left factor and each column of the right one is
   scaled by the lcm of its denominators; an entry of the product is the
@@ -23,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
-from operator import mul
+from operator import add, mul, neg, sub
 
 from .exceptions import (
     FieldMismatchError,
@@ -46,6 +50,14 @@ def _coerce(field, v):
     if isinstance(v, int) and not isinstance(v, bool):
         return v % field.p
     raise TypeError("F_p entries must be int, got %r" % (v,))
+
+
+def _map_entries(field, op, *grids):
+    """op over the entries of same-shaped row tuples, reduced once mod p over F_p."""
+    if isinstance(field, Rationals):
+        return tuple(tuple(map(op, *rows)) for rows in zip(*grids))
+    p = field.p
+    return tuple(tuple([v % p for v in map(op, *rows)]) for rows in zip(*grids))
 
 
 class Matrix:
@@ -124,6 +136,13 @@ class Matrix:
             )
 
     def __add__(self, other):
+        return self._entrywise(other, add)
+
+    def __sub__(self, other):
+        return self._entrywise(other, sub)
+
+    def _entrywise(self, other, op):
+        """self op other in one pass; both operators raise the errors of +."""
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_field(other)
@@ -131,22 +150,11 @@ class Matrix:
             raise ShapeMismatchError(
                 "add %dx%d to %dx%d" % (self.rows, self.cols, other.rows, other.cols)
             )
-        add = self.field.add
-        rows = tuple(
-            tuple(add(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
+        rows = _map_entries(self.field, op, self.entries, other.entries)
         return Matrix._raw(self.field, rows, self.cols)
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + (-other)
 
     def __neg__(self):
-        neg = self.field.neg
-        rows = tuple(tuple(neg(a) for a in row) for row in self.entries)
-        return Matrix._raw(self.field, rows, self.cols)
+        return Matrix._raw(self.field, _map_entries(self.field, neg, self.entries), self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -185,14 +193,10 @@ class Matrix:
 
     def transpose(self):
         rows = tuple(zip(*self.entries)) if self.entries else ((),) * self.cols
-        if self.rows == 0:
-            rows = tuple(() for _ in range(self.cols))
-        return Matrix._raw(self.field, tuple(tuple(r) for r in rows), self.rows)
+        return Matrix._raw(self.field, rows, self.rows)
 
     def scale(self, c):
-        c = _coerce(self.field, c)
-        mul = self.field.mul
-        rows = tuple(tuple(mul(c, a) for a in row) for row in self.entries)
+        rows = _map_entries(self.field, partial(mul, _coerce(self.field, c)), self.entries)
         return Matrix._raw(self.field, rows, self.cols)
 
     def is_zero(self):
@@ -378,18 +382,18 @@ def kernel_basis(m):
 
 def _kernel(triple):
     """kernel_basis read off a finished rref triple."""
-    reduced, pivots, _ = triple
+    reduced, pivots, rk = triple
     field, n = reduced.field, reduced.cols
-    free = [c for c in range(n) if c not in set(pivots)]
-    cols = []
-    for fc in free:
-        v = [field.zero] * n
-        v[fc] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(reduced.entries[i][fc])
-        cols.append(v)
-    rows = tuple(tuple(col[i] for col in cols) for i in range(n))
-    return Matrix._raw(field, rows, len(free))
+    free = sorted(set(range(n)).difference(pivots))
+    # for the i-th pivot pc, row pc is minus row i of R at the free columns;
+    # for the j-th free column fc, row fc is row j of the identity
+    rows = [None] * n
+    block = [[row[fc] for fc in free] for row in reduced.entries[:rk]]
+    for pc, row in zip(pivots, _map_entries(field, neg, block)):
+        rows[pc] = row
+    for fc, unit in zip(free, Matrix.identity(field, len(free)).entries):
+        rows[fc] = unit
+    return Matrix._raw(field, tuple(rows), len(free))
 
 
 def image_basis(m):

@@ -406,6 +406,18 @@ def test_route_c_refuses_int64_overflow():
     assert "2^63" in json.loads(proc.stdout)["error"]
 
 
+def test_route_c_step_limit(capsys, monkeypatch):
+    # [[1,1],[0,1]] has order 5 over F_5: its powers first repeat at step 5.
+    import drazin.cli as cli_mod
+
+    argv = ["drazin", "--route", "C", "--field", "Fp", "--p", "5", "--matrix", "[[1,1],[0,1]]"]
+    code, resp = run_json(capsys, argv)
+    assert code == 0 and resp["route"] == "MonoidCycle" and resp["index"] == 0
+    monkeypatch.setattr(cli_mod, "_MONOID_STEP_LIMIT", 3)
+    code, resp = run_json(capsys, argv)
+    assert code == 1 and "within 3 steps" in resp["error"]
+
+
 def test_parser_built_once_per_process(capsys, monkeypatch):
     import drazin.cli as cli_mod
 

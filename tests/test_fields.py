@@ -1,9 +1,19 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 import sympy
 
-from drazin import NonPrimeModulusError, ParseError, PrimeField, Q, is_prime
+from drazin import (
+    Matrix,
+    NonPrimeModulusError,
+    ParseError,
+    PrimeField,
+    Q,
+    SingularMatrixError,
+    invert_matrix,
+    is_prime,
+)
 
 
 def test_is_prime_matches_sympy_up_to_2000():
@@ -17,19 +27,26 @@ def test_is_prime_large_values():
     assert is_prime(999999937)
 
 
+def scalar(field, a):
+    """a as a 1x1 matrix: scalar arithmetic runs through Matrix."""
+    return Matrix(field, [[a]])
+
+
 def test_rationals_arithmetic():
-    assert Q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert Q.sub(Fraction(1), Fraction(1, 4)) == Fraction(3, 4)
-    assert Q.mul(Fraction(2, 3), Fraction(3, 2)) == 1
-    assert Q.neg(Fraction(5)) == -5
-    assert Q.inv(Fraction(-4, 7)) == Fraction(-7, 4)
+    q = partial(scalar, Q)
+    assert q(Fraction(1, 2)) + q(Fraction(1, 3)) == q(Fraction(5, 6))
+    assert q(Fraction(1)) - q(Fraction(1, 4)) == q(Fraction(3, 4))
+    assert q(Fraction(2, 3)) * q(Fraction(3, 2)) == q(1)
+    assert q(Fraction(2, 3)).scale(Fraction(3, 2)) == q(1)
+    assert -q(Fraction(5)) == q(-5)
+    assert invert_matrix(q(Fraction(-4, 7))) == q(Fraction(-7, 4))
     assert Q.from_int(3) == Fraction(3)
     assert Q.zero == 0 and Q.one == 1
 
 
 def test_rationals_inverse_of_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        Q.inv(Fraction(0))
+    with pytest.raises(SingularMatrixError):
+        invert_matrix(scalar(Q, Fraction(0)))
 
 
 def test_rationals_scalar_json_round_trip():
@@ -53,12 +70,14 @@ def test_rationals_refuse_decimal_exponents(text):
 
 def test_prime_field_arithmetic():
     f5 = PrimeField(5)
+    f = partial(scalar, f5)
     assert f5.p == 5
-    assert f5.add(3, 4) == 2
-    assert f5.sub(1, 3) == 3
-    assert f5.mul(2, 4) == 3
-    assert f5.neg(2) == 3
-    assert f5.inv(3) == 2
+    assert f(3) + f(4) == f(2)
+    assert f(1) - f(3) == f(3)
+    assert f(2) * f(4) == f(3)
+    assert f(2).scale(4) == f(3)
+    assert -f(2) == f(3)
+    assert invert_matrix(f(3)) == f(2)
     assert f5.from_int(-1) == 4
     assert f5.from_int(12) == 2
 
@@ -67,14 +86,14 @@ def test_prime_field_inverse_table():
     for p in (2, 3, 5, 7, 11, 13):
         field = PrimeField(p)
         for a in range(1, p):
-            assert field.mul(a, field.inv(a)) == 1
+            assert scalar(field, a) * invert_matrix(scalar(field, a)) == scalar(field, 1)
 
 
 def test_prime_field_inverse_of_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(7).inv(0)
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(7).inv(14)
+    with pytest.raises(SingularMatrixError):
+        invert_matrix(scalar(PrimeField(7), 0))
+    with pytest.raises(SingularMatrixError):
+        invert_matrix(scalar(PrimeField(7), 14))
 
 
 def test_non_prime_modulus_rejected():

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from functools import partial
+from operator import add, mul, neg, sub
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drazin import (
@@ -318,3 +320,85 @@ def test_fp_rref_matches_oracle(data):
     assert pivots == want_pivots and rk == len(want_pivots)
     assert (reduced.rows, reduced.cols) == (len(m), cols)
     assert reduced.entries == want
+
+
+# Property tests: +, -, unary - and scale against Fraction and mod-p
+# arithmetic on every shape up to 7, the errors of mismatched shapes and
+# fields, and the defining properties of the canonical kernel basis.
+
+ARITH_FIELDS = st.sampled_from([Q, PrimeField(2), PrimeField(3), PrimeField(101), PrimeField(4294967311)])
+WIDE_ENTRIES = st.integers(-(10**12), 10**12)
+
+
+def entries_of(field):
+    return Q_ENTRIES if field == Q else WIDE_ENTRIES
+
+
+def entrywise(field, f, *grids):
+    """f on matching entries, in Fractions over Q and reduced mod p over F_p."""
+    if field == Q:
+        return tuple(tuple(f(*map(Fraction, vs)) for vs in zip(*rows)) for rows in zip(*grids))
+    return tuple(tuple(f(*vs) % field.p for vs in zip(*rows)) for rows in zip(*grids))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_entrywise_arithmetic_matches_oracle(data):
+    field = data.draw(ARITH_FIELDS)
+    entry = entries_of(field)
+    rows, cols = data.draw(DIMS), data.draw(DIMS)
+    a, b = grid(data.draw, entry, rows, cols), grid(data.draw, entry, rows, cols)
+    c = data.draw(entry)
+    ma, mb = Matrix(field, a, cols=cols), Matrix(field, b, cols=cols)
+    c_scalar = Fraction(c) if field == Q else c
+    cases = [
+        (ma + mb, entrywise(field, add, a, b)),
+        (ma - mb, entrywise(field, sub, a, b)),
+        (-ma, entrywise(field, neg, a)),
+        (ma.scale(c), entrywise(field, partial(mul, c_scalar), a)),
+    ]
+    for got, want in cases:
+        assert got.field == field and (got.rows, got.cols) == (rows, cols)
+        assert got.entries == want
+        if field == Q:
+            assert all(type(v) is Fraction for row in got.entries for v in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_entrywise_mismatch_errors(data):
+    fa, fb = data.draw(ARITH_FIELDS), data.draw(ARITH_FIELDS)
+    (ra, ca), (rb, cb) = (data.draw(DIMS), data.draw(DIMS)), (data.draw(DIMS), data.draw(DIMS))
+    assume((fa, ra, ca) != (fb, rb, cb))
+    ma = Matrix(fa, grid(data.draw, entries_of(fa), ra, ca), cols=ca)
+    mb = Matrix(fb, grid(data.draw, entries_of(fb), rb, cb), cols=cb)
+    if fa != fb:
+        error, message = FieldMismatchError, "mixed fields %r and %r" % (fa, fb)
+    else:
+        error, message = ShapeMismatchError, "add %dx%d to %dx%d" % (ra, ca, rb, cb)
+    for op, sym in ((add, "+"), (sub, "-")):
+        with pytest.raises(error) as info:
+            op(ma, mb)
+        assert str(info.value) == message
+        with pytest.raises(TypeError) as info:
+            op(ma, 1)
+        assert str(info.value) == "unsupported operand type(s) for %s: 'Matrix' and 'int'" % sym
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_basis_properties(data):
+    field = data.draw(ARITH_FIELDS)
+    if field == Q:
+        m, cols = data.draw(reducible(Q_ENTRIES, frac_matmul))
+        _, pivots = frac_rref(m)
+    else:
+        p = field.p
+        m, cols = data.draw(reducible(WIDE_ENTRIES, lambda x, y: modp_matmul(x, y, p)))
+        _, pivots = modp_rref(m, p)
+    matrix = Matrix(field, m, cols=cols)
+    ker = kernel_basis(matrix)
+    free = [c for c in range(cols) if c not in pivots]
+    assert (ker.rows, ker.cols) == (cols, cols - len(pivots))
+    assert (matrix * ker).is_zero()
+    assert ker.take_rows(free) == Matrix.identity(field, len(free))

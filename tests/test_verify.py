@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazin import (
     AxiomReport,
@@ -26,13 +28,14 @@ from drazin import (
     drazin_inverse,
     endo_drazin,
     eventuating_family,
+    image_kernel_drazin,
     int_mod_monoid,
     monoid_cycle_drazin,
     moore_penrose,
     pair_drazin,
     transformation_monoid,
 )
-from oracles import modp_matmul
+from oracles import frac_matmul, modp_matmul
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -384,3 +387,42 @@ def test_mp_existence_sweep_is_consistent_f2():
     for combo in product(range(2), repeat=2):
         f = Matrix(F2, [[combo[0]], [combo[1]]])
         assert moore_penrose(f).exists == mp_via_pair_drazin(f).exists
+
+
+# Property: routes A and B agree, and agree with route C over F_p, on every
+# square shape up to 6x6, on random matrices and on low-rank products; the D
+# report passes and witnesses the index the routes report.
+
+
+@st.composite
+def square_cases(draw):
+    """(field, entries, n): a random n x n matrix, or a product L*R of rank at most k."""
+    field = draw(st.sampled_from([Q, F2, PrimeField(3), F5]))
+    entry = st.integers(-4, 4) if field == Q else st.integers(0, field.p - 1)
+    n = draw(st.integers(0, 6))
+
+    def grid(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    if draw(st.booleans()):
+        return field, grid(n, n), n
+    k = draw(st.integers(0, n))
+    if k == 0:
+        return field, [[0] * n for _ in range(n)], n
+    matmul = frac_matmul if field == Q else (lambda a, b: modp_matmul(a, b, field.p))
+    return field, matmul(grid(n, k), grid(k, n)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_cases())
+def test_routes_agree_property(case):
+    field, entries, n = case
+    x = Matrix(field, entries, cols=n)
+    a = drazin_inverse(x)
+    routes = [image_kernel_drazin(x)]
+    if field != Q:
+        routes.append(monoid_cycle_drazin(x))
+    for d in routes:
+        assert (d.inverse, d.index, d.idempotent) == (a.inverse, a.index, a.idempotent)
+    report = check_axioms("D", x=x, inverse=a.inverse)
+    assert report.passed and report.witnessed_index == a.index
