@@ -26,7 +26,14 @@ from .decompositions import (
 )
 from .exceptions import DrazinError, InternalInconsistencyError, ParseError
 from .fields import PrimeField, Q
-from .finite import EndoFun, _cycle_drazin, endo_drazin, eventual_image, int_mod_monoid
+from .finite import (
+    _WALK_LIMIT,
+    EndoFun,
+    _cycle_drazin,
+    endo_drazin,
+    eventual_image,
+    int_mod_monoid,
+)
 from .linalg import Matrix
 from .pairs import (
     OpposingPair,
@@ -38,12 +45,6 @@ from .pairs import (
 from .verify import check_axioms, check_monoid_axioms, monoid_cycle_drazin
 
 __all__ = ["main"]
-
-# Step limit of the power walks: the default --max-steps of `monoid` (whose
-# powers repeat within modulus steps, so it is capped there too) and the fixed
-# budget of `drazin --route C`, whose own default, p^(n^2), bounds nothing in
-# practice. A walk keeps every power, about 140 MB per million steps.
-_MONOID_STEP_LIMIT = 10 ** 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,18 +65,21 @@ def _payload(text):
         raise ParseError("malformed JSON payload: %s" % exc) from exc
 
 
-def _field_of(args):
+def _inputs(args, *names):
+    """The field of --field/--p, then each named JSON matrix argument over it."""
     if args.field == "Q":
-        if getattr(args, "p", None) is not None:
+        if args.p is not None:
             raise ParseError("--p only applies to --field Fp")
-        return Q
-    if args.p is None:
+        field = Q
+    elif args.p is None:
         raise ParseError("--field Fp needs --p")
-    return PrimeField(args.p)
+    else:
+        field = PrimeField(args.p)
+    return (field,) + tuple(Matrix.from_json(field, _payload(getattr(args, n))) for n in names)
 
 
-def _matrix_arg(field, text):
-    return Matrix.from_json(field, _payload(text))
+def _head(command, field, x):
+    return {"command": command, "field": field.descriptor(), "input": x.to_json()}
 
 
 def _response_code(*reports, extra_checks=()):
@@ -84,69 +88,56 @@ def _response_code(*reports, extra_checks=()):
     return 0 if ok else 2
 
 
+def _witnessed(report, index, *extra):
+    """_response_code, also requiring the report to witness the claimed index."""
+    return _response_code(report, extra_checks=[report.witnessed_index == index, *extra])
+
+
 def _cmd_drazin(args):
-    field = _field_of(args)
-    x = _matrix_arg(field, args.matrix)
+    field, x = _inputs(args, "matrix")
     if args.route == "B":
         d = image_kernel_drazin(x)
     elif args.route == "C":
-        d = monoid_cycle_drazin(x, max_steps=_MONOID_STEP_LIMIT)
+        d = monoid_cycle_drazin(x)
     else:
         d = drazin_inverse(x)
     report = check_axioms("D", x=x, inverse=d.inverse)
     response = {
-        "command": "drazin",
-        "field": field.descriptor(),
-        "input": x.to_json(),
+        **_head("drazin", field, x),
         "route": d.route,
         "index": d.index,
         "inverse": d.inverse.to_json(),
         "idempotent": d.idempotent.to_json(),
         "axioms": report.to_json(),
     }
-    code = _response_code(report, extra_checks=[report.witnessed_index == d.index])
-    return response, code
+    return response, _witnessed(report, d.index)
 
 
 def _cmd_group(args):
-    field = _field_of(args)
-    x = _matrix_arg(field, args.matrix)
+    field, x = _inputs(args, "matrix")
     d = drazin_inverse(x)
     exists = d.index <= 1
-    response = {
-        "command": "group",
-        "field": field.descriptor(),
-        "input": x.to_json(),
-        "exists": exists,
-        "index": d.index,
-    }
+    response = {**_head("group", field, x), "exists": exists, "index": d.index}
     if exists:
         report = check_axioms("G", x=x, inverse=d.inverse)
         response["inverse"] = d.inverse.to_json()
-        extra = []
+        code = _response_code(report)
     else:
         report = check_axioms("D", x=x, inverse=d.inverse)
-        extra = [report.witnessed_index == d.index]
+        code = _witnessed(report, d.index)
     response["axioms"] = report.to_json()
-    return response, _response_code(report, extra_checks=extra)
+    return response, code
 
 
 def _cmd_mp(args):
-    field = _field_of(args)
-    f = _matrix_arg(field, args.matrix)
+    field, f = _inputs(args, "matrix")
     gram = moore_penrose(f)
     via_pair = mp_via_pair_drazin(f)
     if gram.exists != via_pair.exists:
         raise InternalInconsistencyError(
             "Gram-rank and pair-based existence answers disagree"
         )
-    response = {
-        "command": "mp",
-        "field": field.descriptor(),
-        "input": f.to_json(),
-        "exists": gram.exists,
-        "routes_agree": True,
-    }
+    response = {**_head("mp", field, f), "exists": gram.exists, "routes_agree": True}
     if gram.exists:
         if gram.pseudo != via_pair.pseudo:
             raise InternalInconsistencyError("the two Moore-Penrose routes disagree")
@@ -161,9 +152,7 @@ def _cmd_mp(args):
 
 
 def _cmd_pair(args):
-    field = _field_of(args)
-    f = _matrix_arg(field, args.f)
-    g = _matrix_arg(field, args.g)
+    field, f, g = _inputs(args, "f", "g")
     pair = OpposingPair(f, g)
     d = pair_drazin(pair)
     report = check_axioms(
@@ -189,10 +178,7 @@ def _cmd_pair(args):
         "cline": {"fg_inverse": fg_inverse.to_json(), "gf_inverse": gf_inverse.to_json()},
         "axioms": report.to_json(),
     }
-    code = _response_code(
-        report, extra_checks=[report.witnessed_index == d.index, cline_holds]
-    )
-    return response, code
+    return response, _witnessed(report, d.index, cline_holds)
 
 
 def _cmd_endofun(args):
@@ -209,14 +195,13 @@ def _cmd_endofun(args):
         "eventual_image": list(stable),
         "axioms": report.to_json(),
     }
-    code = _response_code(report, extra_checks=[report.witnessed_index == index])
-    return response, code
+    return response, _witnessed(report, index)
 
 
 def _cmd_monoid(args):
     monoid = int_mod_monoid(args.modulus)
     x = args.element % args.modulus
-    inverse, m, c = _cycle_drazin(monoid.element(x), min(args.modulus, args.max_steps))
+    inverse, m, c = _cycle_drazin(monoid.element(x), args.max_steps)
     report = check_monoid_axioms(monoid, x, inverse.value, cap=args.modulus)
     response = {
         "command": "monoid",
@@ -227,13 +212,11 @@ def _cmd_monoid(args):
         "first_repeat": {"m": m, "k": c},
         "axioms": report.to_json(),
     }
-    code = _response_code(report, extra_checks=[report.witnessed_index == m])
-    return response, code
+    return response, _witnessed(report, m)
 
 
 def _cmd_decompose(args):
-    field = _field_of(args)
-    x = _matrix_arg(field, args.matrix)
+    field, x = _inputs(args, "matrix")
     d = drazin_inverse(x)
     cn = core_nilpotent(x, d)
     fit = fitting_decomposition(x, d)
@@ -251,9 +234,7 @@ def _cmd_decompose(args):
     )
     report_ev = check_axioms("EV", x=x, family=family)
     response = {
-        "command": "decompose",
-        "field": field.descriptor(),
-        "input": x.to_json(),
+        **_head("decompose", field, x),
         "index": d.index,
         "inverse": d.inverse.to_json(),
         "idempotent": d.idempotent.to_json(),
@@ -288,9 +269,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_verify(args):
-    field = _field_of(args)
-    x = _matrix_arg(field, args.matrix)
-    claim = _matrix_arg(field, args.claim)
+    field, x, claim = _inputs(args, "matrix", "claim")
     if args.system == "MP":
         report = check_axioms("MP", f=x, pseudo=claim)
     else:
@@ -308,9 +287,14 @@ def _cmd_verify(args):
     return response, 0
 
 
-def _add_field_args(sub):
+def _matrix_command(subs, name, help, *flags):
+    """A subcommand over --field/--p taking each (flag, help) as a required JSON matrix."""
+    sub = subs.add_parser(name, help=help)
     sub.add_argument("--field", choices=["Q", "Fp"], default="Q")
     sub.add_argument("--p", type=int, default=None, help="prime modulus for Fp")
+    for flag, flag_help in flags:
+        sub.add_argument(flag, required=True, help=flag_help)
+    return sub
 
 
 def _add_common(sub, handler):
@@ -322,9 +306,8 @@ def build_parser():
     parser = _Parser(prog="drazin", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("drazin", help="Drazin inverse of a square matrix")
-    _add_field_args(p)
-    p.add_argument("--matrix", required=True, help="JSON matrix, or - for stdin")
+    p = _matrix_command(subs, "drazin", "Drazin inverse of a square matrix",
+                        ("--matrix", "JSON matrix, or - for stdin"))
     p.add_argument(
         "--route",
         choices=["A", "B", "C"],
@@ -333,20 +316,15 @@ def build_parser():
     )
     _add_common(p, _cmd_drazin)
 
-    p = subs.add_parser("group", help="group inverse when the index is at most 1")
-    _add_field_args(p)
-    p.add_argument("--matrix", required=True)
+    p = _matrix_command(subs, "group", "group inverse when the index is at most 1",
+                        ("--matrix", None))
     _add_common(p, _cmd_group)
 
-    p = subs.add_parser("mp", help="Moore-Penrose inverse (transpose dagger)")
-    _add_field_args(p)
-    p.add_argument("--matrix", required=True)
+    p = _matrix_command(subs, "mp", "Moore-Penrose inverse (transpose dagger)", ("--matrix", None))
     _add_common(p, _cmd_mp)
 
-    p = subs.add_parser("pair", help="Drazin inverse of an opposing pair (f, g)")
-    _add_field_args(p)
-    p.add_argument("--f", required=True, help="JSON matrix, n x m")
-    p.add_argument("--g", required=True, help="JSON matrix, m x n")
+    p = _matrix_command(subs, "pair", "Drazin inverse of an opposing pair (f, g)",
+                        ("--f", "JSON matrix, n x m"), ("--g", "JSON matrix, m x n"))
     _add_common(p, _cmd_pair)
 
     p = subs.add_parser("endofun", help="Drazin inverse of an endofunction")
@@ -356,20 +334,16 @@ def build_parser():
     p = subs.add_parser("monoid", help="Drazin inverse in multiplicative Z/n")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--element", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=_MONOID_STEP_LIMIT, dest="max_steps",
-                   help="power-walk step limit, capped at the modulus (default %(default)s)")
+    p.add_argument("--max-steps", type=int, default=None, dest="max_steps",
+                   help="power-walk step limit, capped at the modulus (default %d)" % _WALK_LIMIT)
     _add_common(p, _cmd_monoid)
 
-    p = subs.add_parser("decompose", help="all decompositions attached to x")
-    _add_field_args(p)
-    p.add_argument("--matrix", required=True)
+    p = _matrix_command(subs, "decompose", "all decompositions attached to x", ("--matrix", None))
     p.add_argument("--window", type=int, default=None, help="eventuating window radius")
     _add_common(p, _cmd_decompose)
 
-    p = subs.add_parser("verify", help="check a claimed inverse, computing nothing")
-    _add_field_args(p)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--claim", required=True, help="the claimed inverse")
+    p = _matrix_command(subs, "verify", "check a claimed inverse, computing nothing",
+                        ("--matrix", None), ("--claim", "the claimed inverse"))
     p.add_argument("--system", choices=["D", "G", "MP"], default="D")
     _add_common(p, _cmd_verify)
 

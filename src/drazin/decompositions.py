@@ -227,9 +227,8 @@ def image_kernel_drazin(x):
         raise InternalInconsistencyError(
             "x is singular on the stabilized image"
         ) from exc
-    nil_size = x.rows - r
-    middle = block_diag(alpha_inv, Matrix.zeros(x.field, nil_size, nil_size))
-    inverse = psi * middle * phi
+    # psi * diag(alpha^{-1}, 0) * phi with the zero block multiplied out.
+    inverse = iota * alpha_inv * phi_top
     return DrazinData(
         inverse=inverse, index=k, idempotent=x * inverse, route="ImageKernel"
     )

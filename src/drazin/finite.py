@@ -5,7 +5,9 @@ An endofunction stabilizes: the image chain im(f) ⊇ im(f²) ⊇ ... becomes
 constant at some k and f permutes the stable set, so inverting there and
 pushing through f^k gives the Drazin inverse. A finite-monoid element
 repeats a power, x^m = x^{m+c}, and the inverse is read off the (m, c) of
-the first repeat.
+the first repeat. Every power walk is bounded: by max_steps when given,
+else by the monoid size capped at _WALK_LIMIT, and a walk that finds no
+repeat within its budget raises CycleNotFoundError.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ __all__ = [
     "power_cycle",
     "transformation_monoid",
 ]
+
+# Default step limit of every power walk. A walk keeps every power, about
+# 140 MB per million steps, so a monoid's size alone (p^(n^2) for matrices)
+# bounds nothing in practice.
+_WALK_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -130,8 +137,8 @@ class Monoid:
     Two values are equal when their keys are equal; key defaults to the
     value itself, so the values (or their keys) must be hashable and the
     power walk can index them in a dictionary. size, when given, is the
-    number of elements and serves as the default step budget for power
-    walks.
+    number of elements and, capped at _WALK_LIMIT, serves as the default
+    step budget for power walks.
     """
 
     def __init__(self, mul, identity, *, key=None, name=None, size=None):
@@ -178,8 +185,10 @@ def _first_repeat(mon, x, max_steps):
             return powers, m, step - m
         seen[k] = step
         powers.append(nxt)
+    # A numpy matrix (fp_matrix_monoid) is named by its rows, on one line.
+    shown = x.tolist() if hasattr(x, "tolist") else x
     raise CycleNotFoundError(
-        "no repeated power of %r within %d steps" % (x, max_steps)
+        "no repeated power of %r within %d steps" % (shown, max_steps)
     )
 
 
@@ -191,15 +200,15 @@ def power_cycle(x, max_steps=None):
 def _resolve_steps(mon, max_steps):
     if max_steps is not None:
         return max_steps
-    if mon.size is not None:
-        return mon.size
-    raise ValueError("max_steps required for a monoid of unknown size")
+    if mon.size is None:
+        raise ValueError("max_steps required for a monoid of unknown size")
+    return min(mon.size, _WALK_LIMIT)
 
 
 def monoid_drazin(x, max_steps=None):
     """(x^D, index) for a finite-monoid element, by power-cycle detection.
 
-    max_steps defaults to the monoid size when known. With x^m = x^{m+c}
+    max_steps defaults to min(monoid size, _WALK_LIMIT). With x^m = x^{m+c}
     the first repeat: x^D is x^{c-1} if m = 0, x^m if c = 1, and x^{mc-1}
     otherwise. The index is the tail length m: x*x^D is a power in the
     cycle, so x^i * x * x^D lies in the cycle too, and for i < m it differs

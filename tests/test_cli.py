@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazin.cli import main
 
@@ -190,9 +194,9 @@ def test_monoid_walks_the_power_cycle_once(capsys, monkeypatch):
 
 
 def test_monoid_default_step_limit(capsys):
-    import drazin.cli as cli_mod
+    import drazin.finite as finite
 
-    limit = cli_mod._MONOID_STEP_LIMIT
+    limit = finite._WALK_LIMIT
     assert limit == 10 ** 6
     # 1000003 is prime and 2 generates its unit group, so the powers of 2 first
     # repeat after 1000002 > limit steps; without --max-steps the walk stops.
@@ -408,14 +412,17 @@ def test_route_c_refuses_int64_overflow():
 
 def test_route_c_step_limit(capsys, monkeypatch):
     # [[1,1],[0,1]] has order 5 over F_5: its powers first repeat at step 5.
-    import drazin.cli as cli_mod
+    import drazin.finite as finite
 
     argv = ["drazin", "--route", "C", "--field", "Fp", "--p", "5", "--matrix", "[[1,1],[0,1]]"]
     code, resp = run_json(capsys, argv)
     assert code == 0 and resp["route"] == "MonoidCycle" and resp["index"] == 0
-    monkeypatch.setattr(cli_mod, "_MONOID_STEP_LIMIT", 3)
+    monkeypatch.setattr(finite, "_WALK_LIMIT", 3)
     code, resp = run_json(capsys, argv)
     assert code == 1 and "within 3 steps" in resp["error"]
+    # The matrix is named by its rows on one line, not by numpy's repr.
+    assert "[[1, 1], [0, 1]]" in resp["error"]
+    assert "array(" not in resp["error"] and "\n" not in resp["error"]
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch):
@@ -460,3 +467,66 @@ def test_pair_makes_one_pair_computation(capsys, monkeypatch):
     )
     assert code == 0 and resp["axioms"]["passed"] is True
     assert calls == {"drazin_inverse": 2, "_pair_failures": 1}
+
+
+def test_golden_bytes(capsys):
+    """Frozen argv -> (exit code, stdout), byte for byte: one input per kind
+    of the benchmark's cli-mixed workload, --pretty, field misuse, malformed
+    matrices and the monoid step limit."""
+    golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+    for case in golden:
+        assert run_cli(capsys, case["argv"]) == (case["code"], case["stdout"]), case["argv"]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["rows", "cols", "entries", "n", "table", ""]), inner),
+    max_leaves=12,
+)
+# Square rows of small scalars reach the computations, not just the parser.
+_SCALAR = st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3", "0/1", "1/0", "x", "1e5", 0.5])
+_SQUARE = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(_SCALAR, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+_MATRIX = st.builds(json.dumps, _JSON | _SQUARE)
+# --window and --modulus cost time linear in their value, so they stay small.
+_SMALL = st.builds(json.dumps, _JSON.filter(lambda v: not isinstance(v, int)) | st.integers(-3, 40))
+_FIELD = st.sampled_from([[], ["--field", "Fp", "--p", "5"], ["--field", "Fp", "--p", "2"]])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["drazin", "group", "mp", "pair", "endofun", "monoid", "decompose", "verify"]
+    ))
+    if command == "endofun":
+        return [command, "--table", draw(_MATRIX)]
+    if command == "monoid":
+        return [command, "--modulus", draw(_SMALL), "--element", draw(_SMALL)]
+    argv = [command] + draw(_FIELD)
+    if command == "pair":
+        return argv + ["--f", draw(_MATRIX), "--g", draw(_MATRIX)]
+    argv += ["--matrix", draw(_MATRIX)]
+    if command == "drazin":
+        argv += ["--route", draw(st.sampled_from(["A", "B", "C"]))]
+    elif command == "decompose":
+        argv += ["--window", draw(_SMALL)]
+    elif command == "verify":
+        argv += ["--claim", draw(_MATRIX), "--system", draw(st.sampled_from(["D", "G", "MP"]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_no_traceback_leaves_the_cli(argv):
+    """Any JSON payload gets a JSON answer with exit 0 or 1, or a usage exit 1."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 1, argv
+        return
+    assert code in (0, 1), argv
+    assert isinstance(json.loads(out.getvalue()), dict), argv

@@ -184,6 +184,16 @@ def test_cycle_not_found_with_tiny_budget():
         power_cycle(mon.element(2), max_steps=1)
 
 
+def test_power_cycle_default_limit(monkeypatch):
+    import drazin.finite as finite
+
+    x = int_mod_monoid(11).element(2)  # 2 has order 10 modulo 11
+    monkeypatch.setattr(finite, "_WALK_LIMIT", 3)
+    with pytest.raises(CycleNotFoundError, match="within 3 steps"):
+        power_cycle(x)
+    assert power_cycle(x, max_steps=20) == (0, 10)
+
+
 def test_unknown_size_requires_max_steps():
     mon = Monoid(mul=lambda a, b: a * b, identity=1)
     with pytest.raises(ValueError):

@@ -353,6 +353,18 @@ def test_monoid_cycle_route_budget():
     assert monoid_cycle_drazin(x).inverse == drazin_inverse(x).inverse
 
 
+def test_cross_route_audit_walk_is_bounded(monkeypatch):
+    # The powers of [[0,1],[1,1]] over F_1000003 do not repeat within 10^6
+    # steps; route C's default budget is the walk limit, not p^(n^2), so the
+    # audit raises instead of walking until memory runs out.
+    import drazin.finite as finite
+
+    monkeypatch.setattr(finite, "_WALK_LIMIT", 1000)
+    x = Matrix(PrimeField(1000003), [[0, 1], [1, 1]])
+    with pytest.raises(CycleNotFoundError, match="within 1000 steps"):
+        cross_route_audit(x)
+
+
 def test_cross_route_audit_fp():
     rng = random.Random(4003)
     for _ in range(8):
