@@ -46,6 +46,9 @@ from .verify import check_axioms, check_monoid_axioms, monoid_cycle_drazin
 
 __all__ = ["main"]
 
+# The most --window accepts: over Q the time and output grow faster than it.
+_WINDOW_LIMIT = 100
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this tool reserves 2 for bugs."""
@@ -199,6 +202,8 @@ def _cmd_endofun(args):
 
 
 def _cmd_monoid(args):
+    if args.max_steps is not None and args.max_steps > _WALK_LIMIT:
+        raise ValueError("--max-steps %d is over the limit %d" % (args.max_steps, _WALK_LIMIT))
     monoid = int_mod_monoid(args.modulus)
     x = args.element % args.modulus
     inverse, m, c = _cycle_drazin(monoid.element(x), args.max_steps)
@@ -216,6 +221,8 @@ def _cmd_monoid(args):
 
 
 def _cmd_decompose(args):
+    if args.window is not None and args.window > _WINDOW_LIMIT:
+        raise ValueError("--window %d is over the limit %d" % (args.window, _WINDOW_LIMIT))
     field, x = _inputs(args, "matrix")
     d = drazin_inverse(x)
     cn = core_nilpotent(x, d)
@@ -335,11 +342,13 @@ def build_parser():
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--element", type=int, required=True)
     p.add_argument("--max-steps", type=int, default=None, dest="max_steps",
-                   help="power-walk step limit, capped at the modulus (default %d)" % _WALK_LIMIT)
+                   help="power-walk step limit, at most %d (default: the smaller of the "
+                   "modulus and %d)" % (_WALK_LIMIT, _WALK_LIMIT))
     _add_common(p, _cmd_monoid)
 
     p = _matrix_command(subs, "decompose", "all decompositions attached to x", ("--matrix", None))
-    p.add_argument("--window", type=int, default=None, help="eventuating window radius")
+    p.add_argument("--window", type=int, default=None,
+                   help="eventuating window radius, 1 to %d (default: index + 2)" % _WINDOW_LIMIT)
     _add_common(p, _cmd_decompose)
 
     p = _matrix_command(subs, "verify", "check a claimed inverse, computing nothing",

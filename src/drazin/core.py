@@ -7,10 +7,11 @@ beta = R*L is invertible and x^D = x^k * L * beta^{-2} * R. Invertible
 inputs short-circuit to the ordinary inverse.
 
 One evaluator: [D.1-3] read the same for matrices, endofunctions and
-monoid elements, so they are evaluated once over a carrier (mul, identity,
-eq), with one absorption search for the least k of [D.1]. The reports in
-verify and the raising revalidations here and in pairs share it; [DV.1-3]
-run the same search on f*g and on g*f.
+monoid elements, so they are evaluated once over one carrier (_carrier:
+cap, mul, identity, eq), with one absorption search for the least k of
+[D.1], shared by verify's reports, brute_force_drazin and the raising
+revalidations, whose one stale-bundle rule is _require_fresh; [DV.1-3] run
+the same search on f*g and on g*f (_pair_absorption).
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from dataclasses import dataclass
 
 from .exceptions import (
     FieldMismatchError,
-    InternalInconsistencyError,
     NotSquareError,
     ShapeMismatchError,
-    SingularMatrixError,
     WitnessInvalidError,
 )
-from .linalg import Matrix, _factor, invert_matrix, rref
+from .finite import EndoFun
+from .linalg import Matrix, _factor, _invert_or_bug, invert_matrix, rref
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,9 @@ def drazin_inverse(x):
             route="RankFactorization",
         )
     fact = _factor(xk1, reduced)
-    beta = fact.right * fact.left
-    try:
-        beta_inv = invert_matrix(beta)
-    except SingularMatrixError as exc:
-        raise InternalInconsistencyError(
-            "core of x^{k+1} singular at the stabilized index"
-        ) from exc
+    beta_inv = _invert_or_bug(
+        fact.right * fact.left, "core of x^{k+1} singular at the stabilized index"
+    )
     inverse = xk * fact.left * beta_inv * beta_inv * fact.right
     return DrazinData(
         inverse=inverse,
@@ -138,8 +134,13 @@ def _absorption_index(x, e, cap, mul, one, eq):
     return None
 
 
-def _matrix_carrier(x):
-    return operator.mul, Matrix.identity(x.field, x.rows), operator.eq
+def _carrier(x):
+    """(cap, mul, one, eq) of a matrix or an endofunction; cap = its dimension."""
+    if isinstance(x, Matrix):
+        return x.rows, operator.mul, Matrix.identity(x.field, x.rows), operator.eq
+    if isinstance(x, EndoFun):
+        return x.n, operator.mul, EndoFun.identity(x.n), operator.eq
+    raise TypeError("no identity for %r" % (x,))
 
 
 def _drazin_failures(x, xd, cap, mul, one, eq):
@@ -157,14 +158,18 @@ def _inner_failures(system, x, xd, x_xd, mul, eq):
     return ["%s.%d" % (system, i) for i, ok in enumerate(holds, 2) if not ok]
 
 
+def _pair_absorption(fg, gf, e_fg, e_gf):
+    """(k1, k2) of the absorption searches on f*g and g*f, each up to its own dimension."""
+    return (
+        _absorption_index(fg, e_fg, *_carrier(fg)),
+        _absorption_index(gf, e_gf, *_carrier(gf)),
+    )
+
+
 def _pair_failures(f, g, u, v):
     """The failed tags of [DV.1-3] for u = f^{D/g}, v = g^{D/f} and the pair
-    index witnessing [DV.1]: the absorption search on f*g and on g*f."""
-    fg = f * g
-    gf = g * f
-    cap = max(fg.rows, gf.rows)
-    k1 = _absorption_index(fg, f * u, cap, *_matrix_carrier(fg))
-    k2 = _absorption_index(gf, g * v, cap, *_matrix_carrier(gf))
+    index witnessing [DV.1]."""
+    k1, k2 = _pair_absorption(f * g, g * f, f * u, g * v)
     witnessed = None if None in (k1, k2) else max(k1, k2)
     failed = [] if witnessed is not None else ["DV.1"]
     return failed + _pair_inner_failures("DV", f, g, u, v), witnessed
@@ -193,6 +198,15 @@ def _penrose_failures(f, pseudo):
     return ["MP.%d" % i for i, ok in enumerate(holds, 1) if not ok]
 
 
+def _require_fresh(what, first_tag, index, failed, k):
+    """Raise ValueError unless [first_tag] holds by the recorded index and
+    nothing in failed (the tags a revalidation found) remains."""
+    if k is None or k > index:
+        raise ValueError("stale %s: [%s] fails at the recorded index" % (what, first_tag))
+    if failed:
+        raise ValueError("stale %s: [%s] fails" % (what, failed[0]))
+
+
 def verify_drazin_data(x, d):
     """Cheap exact [D.1-3] revalidation used by every decomposition entry."""
     _require_square(x)
@@ -201,10 +215,6 @@ def verify_drazin_data(x, d):
     xd = d.inverse
     if xd.field != x.field or (xd.rows, xd.cols) != (x.rows, x.cols):
         raise ValueError("DrazinData does not match the shape or field of x")
-    failed, k = _drazin_failures(x, xd, x.rows, *_matrix_carrier(x))
-    if k is None or k > d.index:
-        raise ValueError("stale DrazinData: [D.1] fails at the recorded index")
-    if failed:
-        raise ValueError("stale DrazinData: [%s] fails" % failed[0])
+    _require_fresh("DrazinData", "D.1", d.index, *_drazin_failures(x, xd, *_carrier(x)))
     if d.idempotent != x * xd:
         raise ValueError("stale DrazinData: recorded idempotent is wrong")

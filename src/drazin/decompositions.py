@@ -25,6 +25,7 @@ from .exceptions import (
 )
 from .linalg import (
     Matrix,
+    _invert_or_bug,
     _kernel,
     block_diag,
     full_rank_factorization,
@@ -212,21 +213,11 @@ def image_kernel_drazin(x):
     iota = power.take_cols(reduced[1])  # image_basis(power)
     kappa = _kernel(reduced)
     psi = hstack(iota, kappa)
-    try:
-        phi = invert_matrix(psi)
-    except SingularMatrixError as exc:
-        raise InternalInconsistencyError(
-            "image and kernel of x^{k+1} do not span at the stabilized index"
-        ) from exc
+    phi = _invert_or_bug(psi, "image and kernel of x^{k+1} do not span at the stabilized index")
     r = iota.cols
     phi_top = phi.take_rows(range(r))
     alpha = phi_top * x * iota
-    try:
-        alpha_inv = invert_matrix(alpha)
-    except SingularMatrixError as exc:
-        raise InternalInconsistencyError(
-            "x is singular on the stabilized image"
-        ) from exc
+    alpha_inv = _invert_or_bug(alpha, "x is singular on the stabilized image")
     # psi * diag(alpha^{-1}, 0) * phi with the zero block multiplied out.
     inverse = iota * alpha_inv * phi_top
     return DrazinData(

@@ -32,12 +32,13 @@ from operator import add, mul, neg, sub
 
 from .exceptions import (
     FieldMismatchError,
+    InternalInconsistencyError,
     NotSquareError,
     ParseError,
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .fields import PrimeField, Rationals
+from .fields import Rationals
 
 
 def _coerce(field, v):
@@ -438,3 +439,11 @@ def invert_matrix(m):
     if rk < n:
         raise SingularMatrixError("matrix of rank %d is singular" % rk)
     return reduced.take_cols(range(n, 2 * n))
+
+
+def _invert_or_bug(m, why):
+    """invert_matrix(m) where a singular m means a library bug, reported as why."""
+    try:
+        return invert_matrix(m)
+    except SingularMatrixError as exc:
+        raise InternalInconsistencyError(why) from exc

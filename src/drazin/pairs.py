@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    _absorption_index,
     _group_pair_absorbs,
-    _matrix_carrier,
+    _pair_absorption,
     _pair_failures,
     _penrose_failures,
+    _require_fresh,
     drazin_inverse,
 )
 from .exceptions import (
@@ -26,9 +26,8 @@ from .exceptions import (
     InternalInconsistencyError,
     NotSquareError,
     ShapeMismatchError,
-    SingularMatrixError,
 )
-from .linalg import Matrix, _factor, invert_matrix, rank, rref
+from .linalg import Matrix, _factor, _invert_or_bug, rank, rref
 
 logger = logging.getLogger("drazin.pairs")
 
@@ -106,9 +105,7 @@ def pair_drazin(pair):
     idem_gf = f_over_g * f
     if idem_gf != g * g_over_f:
         raise InternalInconsistencyError("e_gf expressions disagree")
-    cap = max(f.rows, f.cols)
-    k1 = _absorption_index(fg, idem_fg, cap, *_matrix_carrier(fg))
-    k2 = _absorption_index(gf, idem_gf, cap, *_matrix_carrier(gf))
+    k1, k2 = _pair_absorption(fg, gf, idem_fg, idem_gf)
     if k1 != d_fg.index or k2 != d_gf.index:
         raise InternalInconsistencyError(
             "absorption minima disagree with composite indices"
@@ -134,11 +131,7 @@ def verify_pair_data(pair, d):
     u, v = d.f_over_g, d.g_over_f
     if (u.rows, u.cols) != (f.cols, f.rows) or (v.rows, v.cols) != (f.rows, f.cols):
         raise ValueError("pair data shapes do not match the pair")
-    failed, k = _pair_failures(f, g, u, v)
-    if k is None or k > d.index:
-        raise ValueError("stale pair data: [DV.1] fails at the recorded index")
-    if failed:
-        raise ValueError("stale pair data: [%s] fails" % failed[0])
+    _require_fresh("pair data", "DV.1", d.index, *_pair_failures(f, g, u, v))
 
 
 def check_pair_group(pair, d):
@@ -171,8 +164,8 @@ def moore_penrose(f):
     """Moore-Penrose inverse, dagger = transpose; may not exist over F_p.
 
     Exists iff rank(f*f^T) = rank(f) = rank(f^T*f); then with f = L*R,
-    f° = R^T * (R*R^T)^{-1} * (L^T*L)^{-1} * L^T. Nonexistence reports
-    which Gram rank dropped.
+    f° = R^T * (R*R^T)^{-1} * (L^T*L)^{-1} * L^T = R^T * (L^T*L*R*R^T)^{-1} * L^T,
+    one inversion. Nonexistence reports which Gram rank dropped.
     """
     ft = f.transpose()
     reduced = rref(f)
@@ -189,14 +182,9 @@ def moore_penrose(f):
         return MoorePenroseData(pseudo=None, exists=False, witness=witness)
     fact = _factor(f, reduced)
     left, right = fact.left, fact.right
-    try:
-        gram_r_inv = invert_matrix(right * right.transpose())
-        gram_l_inv = invert_matrix(left.transpose() * left)
-    except SingularMatrixError as exc:
-        raise InternalInconsistencyError(
-            "Gram blocks singular despite full Gram ranks"
-        ) from exc
-    pseudo = right.transpose() * gram_r_inv * gram_l_inv * left.transpose()
+    grams = (left.transpose() * left) * (right * right.transpose())
+    grams_inv = _invert_or_bug(grams, "Gram blocks singular despite full Gram ranks")
+    pseudo = right.transpose() * grams_inv * left.transpose()
     return MoorePenroseData(pseudo=pseudo, exists=True)
 
 

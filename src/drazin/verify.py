@@ -1,21 +1,24 @@
 """Axiom checkers and brute-force oracles.
 
 check_axioms evaluates one labeled axiom system by exact equality and
-returns a uniform report. brute_force_drazin scans a candidate set for
-the unique element passing the Drazin axioms, which makes it an oracle
-independent of any closed-form construction. cross_route_audit runs
-every applicable computation route on one matrix and compares.
+returns a uniform report; the subject's keywords go to that system's
+_check_* function. brute_force_drazin scans a candidate set for the unique
+element passing the Drazin axioms, an oracle independent of any
+closed-form construction that shares only core's absorption search.
+cross_route_audit runs every applicable route on one matrix and compares.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Optional
 
 from .core import (
     DrazinData,
+    _absorption_index,
+    _carrier,
     _drazin_failures,
     _group_pair_absorbs,
     _inner_failures,
@@ -33,7 +36,7 @@ from .exceptions import (
     NotSquareError,
 )
 from .fields import PrimeField
-from .finite import EndoFun, fp_matrix_monoid, monoid_drazin
+from .finite import fp_matrix_monoid, monoid_drazin
 from .linalg import Matrix
 
 __all__ = [
@@ -46,8 +49,6 @@ __all__ = [
     "cross_route_audit",
     "monoid_cycle_drazin",
 ]
-
-SYSTEMS = ("D", "G", "DV", "GV", "MP", "CND", "EV")
 
 
 @dataclass(frozen=True)
@@ -69,23 +70,6 @@ class AxiomReport:
             "failed_axioms": list(self.failed_axioms),
             "witnessed_index": self.witnessed_index,
         }
-
-
-def _identity_like(obj):
-    if isinstance(obj, Matrix):
-        return Matrix.identity(obj.field, obj.rows)
-    if isinstance(obj, EndoFun):
-        return EndoFun.identity(obj.n)
-    raise TypeError("no identity for %r" % (obj,))
-
-
-def _index_cap(obj):
-    """Upper bound for the index search: the ambient dimension."""
-    if isinstance(obj, Matrix):
-        return obj.rows
-    if isinstance(obj, EndoFun):
-        return obj.n
-    raise TypeError("no dimension bound for %r" % (obj,))
 
 
 def _report(system, failed, witnessed=None):
@@ -110,35 +94,13 @@ def check_axioms(system, **subject):
       CND: x, core, nilpotent_part [, nilpotent_index]
       EV:  x, family             (matrix + eventuating family)
     """
-    if system == "D":
-        return _check_d(subject["x"], subject["inverse"])
-    if system == "G":
-        return _check_g(subject["x"], subject["inverse"])
-    if system == "DV":
-        return _check_dv(
-            subject["f"], subject["g"], subject["f_over_g"], subject["g_over_f"]
-        )
-    if system == "GV":
-        return _check_gv(
-            subject["f"], subject["g"], subject["f_over_g"], subject["g_over_f"]
-        )
-    if system == "MP":
-        return _check_mp(subject["f"], subject["pseudo"])
-    if system == "CND":
-        return _check_cnd(
-            subject["x"],
-            subject["core"],
-            subject["nilpotent_part"],
-            subject.get("nilpotent_index"),
-        )
-    if system == "EV":
-        return _check_ev(subject["x"], subject["family"])
-    raise ValueError("unknown axiom system %r" % (system,))
+    if system not in SYSTEMS:
+        raise ValueError("unknown axiom system %r" % (system,))
+    return _CHECKS[system](**subject)
 
 
 def _check_d(x, inverse):
-    carrier = operator.mul, _identity_like(x), operator.eq
-    return _report("D", *_drazin_failures(x, inverse, _index_cap(x), *carrier))
+    return _report("D", *_drazin_failures(x, inverse, *_carrier(x)))
 
 
 def _check_g(x, inverse):
@@ -202,6 +164,18 @@ def _check_ev(x, family):
     return _report("EV", failed)
 
 
+_CHECKS = {
+    "D": _check_d,
+    "G": _check_g,
+    "DV": _check_dv,
+    "GV": _check_gv,
+    "MP": _check_mp,
+    "CND": _check_cnd,
+    "EV": _check_ev,
+}
+SYSTEMS = tuple(_CHECKS)
+
+
 def check_monoid_axioms(monoid, x, inverse, cap):
     """The D axioms for a monoid element, index search capped at cap."""
     carrier = monoid.mul, monoid.identity, monoid.eq
@@ -215,24 +189,15 @@ def brute_force_drazin(x, candidates, limit=10 ** 6):
     candidates mean a bug somewhere and raise InternalInconsistencyError.
     Candidates beyond limit raise EnumerationTooLargeError.
     """
-    cap = _index_cap(x)
-    powers = [_identity_like(x)]
-    for _ in range(cap):
-        powers.append(powers[-1] * x)
+    carrier = _carrier(x)
     survivor = None
-    count = 0
-    for c in candidates:
-        count += 1
+    for count, c in enumerate(candidates, 1):
         if count > limit:
             raise EnumerationTooLargeError(
                 "more than %d candidates in brute-force search" % limit
             )
         t = x * c
-        if c * x != t:
-            continue
-        if c * t != c:
-            continue
-        if not any(powers[k] * t == powers[k] for k in range(cap + 1)):
+        if c * x != t or c * t != c or _absorption_index(x, t, *carrier) is None:
             continue
         if survivor is not None:
             raise InternalInconsistencyError(
@@ -313,13 +278,10 @@ def cross_route_audit(x):
         results["C"] = monoid_cycle_drazin(x)
     inverses = {r: d.inverse for r, d in results.items()}
     indices = {r: d.index for r, d in results.items()}
-    routes = sorted(inverses)
-    pairwise = {}
-    for i, r1 in enumerate(routes):
-        for r2 in routes[i + 1 :]:
-            pairwise[(r1, r2)] = (
-                inverses[r1] == inverses[r2] and indices[r1] == indices[r2]
-            )
+    pairwise = {
+        (r1, r2): inverses[r1] == inverses[r2] and indices[r1] == indices[r2]
+        for r1, r2 in combinations(sorted(inverses), 2)
+    }
     return CrossRouteReport(
         inverses=inverses,
         indices=indices,

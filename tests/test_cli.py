@@ -208,6 +208,20 @@ def test_monoid_default_step_limit(capsys):
     assert str(limit) in capsys.readouterr().out
 
 
+def test_monoid_max_steps_cannot_raise_the_limit(capsys):
+    import drazin.finite as finite
+
+    limit = finite._WALK_LIMIT
+    # The powers of 2 mod 1000003 repeat only after 1000002 steps; an
+    # explicit budget above the limit is refused before any walk.
+    argv = ["monoid", "--modulus", "1000003", "--element", "2"]
+    code, resp = run_json(capsys, argv + ["--max-steps", str(2 * limit)])
+    assert code == 1
+    assert str(limit) in resp["error"]
+    code, resp = run_json(capsys, ["monoid", "--modulus", "12", "--element", "2",
+                                   "--max-steps", str(limit)])
+    assert code == 0 and resp["inverse"] == 8
+
 def test_decompose_frozen(capsys):
     code, resp = run_json(
         capsys, ["decompose", "--matrix", "[[2,0,0],[0,0,1],[0,0,0]]"]
@@ -239,6 +253,15 @@ def test_decompose_window_flag(capsys):
     assert bad_code == 1
     assert "error" in err
 
+
+def test_decompose_window_limit(capsys):
+    argv = ["decompose", "--matrix", "[[0,1],[0,0]]", "--window"]
+    code, resp = run_json(capsys, argv + ["101"])
+    assert code == 1
+    assert "100" in resp["error"]
+    code, resp = run_json(capsys, argv + ["100"])
+    assert code == 0
+    assert resp["eventuating_family"]["window"] == list(range(-100, 101))
 
 def test_verify_accepts_true_claim(capsys):
     code, resp = run_json(

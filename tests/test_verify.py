@@ -182,6 +182,88 @@ def test_check_gv_exhaustive_f2_column_row_pairs():
     }
 
 
+def _absorbs_at(x, e, bound, mm):
+    """Least k <= bound with x^k * e = x^k on plain tuples, else None."""
+    power = tuple(tuple(int(i == j) for j in range(len(x))) for i in range(len(x)))
+    for k in range(bound + 1):
+        if mm(power, e) == power:
+            return k
+        power = mm(power, x)
+    return None
+
+
+def test_check_d_exhaustive_2x2_f2():
+    # Every x and every claim. The oracle searches two powers past the
+    # dimension, so a cap of n in the library must miss nothing.
+    mm = _f2_mul
+    tally = Counter()
+    matrices = list(all_matrices(F2, 2, 2))
+    for x in matrices:
+        for claim in matrices:
+            a, c = x.entries, claim.entries
+            k = _absorbs_at(a, mm(a, c), 4, mm)
+            want = _failed_tags(
+                "D", [k is not None, mm(mm(c, a), c) == c, mm(c, a) == mm(a, c)]
+            )
+            rep = check_axioms("D", x=x, inverse=claim)
+            assert (rep.failed_axioms, rep.passed, rep.witnessed_index) == (want, not want, k)
+            tally[want, k] += 1
+    # Exactly 16 claims pass: the true inverse of each x.
+    assert tally == {
+        ((), 0): 6,
+        ((), 1): 7,
+        ((), 2): 3,
+        (("D.2",), 1): 21,
+        (("D.2",), 2): 9,
+        (("D.3",), 1): 6,
+        (("D.3",), 2): 12,
+        (("D.2", "D.3"), 1): 6,
+        (("D.2", "D.3"), 2): 24,
+        (("D.1",), None): 18,
+        (("D.1", "D.2"), None): 24,
+        (("D.1", "D.3"), None): 42,
+        (("D.1", "D.2", "D.3"), None): 78,
+    }
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (1, 2)])
+def test_check_dv_exhaustive_f2(n, m):
+    # f: n x m, g: m x n, f^{D/g}: m x n and g^{D/f}: n x m, all over F_2.
+    # With (n, m) = (2, 1) one composite is 1x1 and the other 2x2, so the
+    # pair index is searched up to each composite's own dimension.
+    mm = _f2_mul
+    tally = Counter()
+    forward = list(all_matrices(F2, n, m))
+    backward = list(all_matrices(F2, m, n))
+    for f, g, u, v in product(forward, backward, backward, forward):
+        a, b, c, e = f.entries, g.entries, u.entries, v.entries
+        k1 = _absorbs_at(mm(a, b), mm(a, c), 4, mm)
+        k2 = _absorbs_at(mm(b, a), mm(b, e), 4, mm)
+        k = None if None in (k1, k2) else max(k1, k2)
+        want = _failed_tags("DV", [
+            k is not None,
+            mm(mm(c, a), c) == c and mm(mm(e, b), e) == e,
+            mm(a, c) == mm(e, b) and mm(c, a) == mm(b, e),
+        ])
+        rep = check_axioms("DV", f=f, g=g, f_over_g=u, g_over_f=v)
+        assert (rep.failed_axioms, rep.passed, rep.witnessed_index) == (want, not want, k)
+        tally[want, k] += 1
+    # Both orientations give the same tally.
+    assert tally == {
+        ((), 1): 13,
+        ((), 2): 3,
+        (("DV.2",), 1): 33,
+        (("DV.2",), 2): 3,
+        (("DV.3",), 1): 18,
+        (("DV.3",), 2): 24,
+        (("DV.2", "DV.3"), 1): 60,
+        (("DV.2", "DV.3"), 2): 18,
+        (("DV.1",), None): 6,
+        (("DV.1", "DV.3"), None): 36,
+        (("DV.1", "DV.2", "DV.3"), None): 42,
+    }
+
+
 def test_check_gv_fails_at_high_pair_index():
     f = Matrix(F2, [[1], [1]])
     d = pair_drazin(OpposingPair(f, f.transpose()))
@@ -235,6 +317,24 @@ def test_check_ev_on_computed_family():
 def test_check_axioms_unknown_system():
     with pytest.raises(ValueError):
         check_axioms("XX", x=IDEM, inverse=IDEM)
+
+
+def test_check_axioms_rejects_unexpected_subject_keys():
+    with pytest.raises(TypeError):
+        check_axioms("D", x=IDEM, inverse=IDEM, index=1)
+    with pytest.raises(TypeError):
+        check_axioms("G", x=IDEM)
+    # A misspelt optional key must not quietly check CND without the index.
+    d = drazin_inverse(MIXED)
+    cn = core_nilpotent(MIXED, d)
+    with pytest.raises(TypeError):
+        check_axioms(
+            "CND",
+            x=MIXED,
+            core=cn.core,
+            nilpotent_part=cn.nilpotent_part,
+            nilpotent_idx=cn.nilpotent_index,
+        )
 
 
 def test_negative_control_perturbations():
