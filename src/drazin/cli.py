@@ -25,7 +25,7 @@ from .decompositions import (
     splitting_iso,
 )
 from .exceptions import DrazinError, InternalInconsistencyError, ParseError
-from .fields import PrimeField, Q
+from .fields import PrimeField, Q, _digit_limit
 from .finite import (
     _WALK_LIMIT,
     EndoFun,
@@ -66,6 +66,8 @@ def _payload(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("malformed JSON payload: %s" % exc) from exc
+    except ValueError as exc:  # the one other failure: an integer past the digit limit
+        raise ParseError("input integer over the %d-digit limit" % _digit_limit()) from exc
 
 
 def _inputs(args, *names):
@@ -310,7 +312,14 @@ def _add_common(sub, handler):
 
 
 def build_parser():
-    parser = _Parser(prog="drazin", description=__doc__)
+    limit = _digit_limit()
+    parser = _Parser(
+        prog="drazin",
+        description=__doc__,
+        epilog="An input scalar or a Q answer entry may have at most %d digits in its "
+        "numerator and in its denominator (Python's int/str conversion limit); past it "
+        "the call exits 1 and says which of the two crossed it." % limit if limit else None,
+    )
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = _matrix_command(subs, "drazin", "Drazin inverse of a square matrix",

@@ -9,6 +9,7 @@ encoding of scalars, the field descriptor, and from_int and dot.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -43,6 +44,15 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+def _digit_limit():
+    """Python's limit on the digits of an int converted to or from text (0: none).
+
+    It caps Q scalars in JSON both ways: a longer numerator or denominator
+    can be neither parsed nor written.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class Field:
@@ -107,6 +117,12 @@ class Rationals(Field):
             try:
                 return Fraction(obj)
             except (ValueError, ZeroDivisionError) as exc:
+                limit = _digit_limit()
+                if limit and any(sum(map(str.isdigit, part)) > limit for part in obj.split("/")):
+                    raise ParseError(
+                        "input Q scalar over the %d-digit limit on a numerator or "
+                        "denominator" % limit
+                    ) from exc
                 raise ParseError("bad Q scalar %r" % (obj,)) from exc
         raise ParseError("Q scalar must be an int or 'num/den' string, got %r" % (obj,))
 

@@ -1,18 +1,23 @@
 """Immutable exact matrices and the elimination toolkit.
 
-All matrix arithmetic runs on the plain scalars with the native operators,
-without a Field method call per scalar: each operation looks at the field
-once. Sums, differences, negation, scaling and kernel bases map one operator
-over the entries (reduced once mod p over F_p). The product and the reduced
+A Matrix stores its entries as a tuple of int rows over one positive
+denominator: entry (i, j) is ints[i][j] / den. Over Q the pair is kept
+canonical, gcd(den, every entry) = 1, so == and hash compare the ints and
+den as tuples and no Fraction is built until a caller reads entries,
+m[i, j] or to_json. Over F_p the ints are residues in [0, p) and den is 1.
+Every operation that can leave a common factor (a product, a sum, a
+scaling, a selection of rows or columns) divides it out once at the end.
+
+Sums, differences, negation, scaling and kernel bases map one operator
+over the ints (reduced once mod p over F_p). The product and the reduced
 row echelon form run on plain Python ints, one kernel per field:
 
-* Over Q, each row of the left factor and each column of the right one is
-  scaled by the lcm of its denominators; an entry of the product is the
-  integer dot product over the two scales, one Fraction per entry. rref
-  scales each row the same way and runs Bareiss's fraction-free
-  Gauss-Jordan on the integers, dividing by the last pivot once at the end.
-  Scaling a row by a nonzero number changes neither its zero pattern nor
-  its row space, so the pivots and R are those of Gauss-Jordan over
+* Over Q, a product is the integer product of the two int matrices over
+  the product of the two denominators. rref runs Bareiss's fraction-free
+  Gauss-Jordan on the stored ints and ends with R as the eliminated ints
+  over the last pivot. The stored rows are the matrix's rows times den,
+  and scaling by a nonzero number changes neither a row's zero pattern nor
+  the row space, so the pivots and R are those of Gauss-Jordan over
   Fractions, entry for entry.
 * Over F_p, the same loops reduce mod p: once per dot product, and once per
   entry of an eliminated row.
@@ -27,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add, mul, neg, sub
 
 from .exceptions import (
@@ -38,19 +44,30 @@ from .exceptions import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .fields import Rationals
+from .fields import Rationals, _digit_limit
 
 
 def _coerce(field, v):
     if isinstance(field, Rationals):
-        if isinstance(v, Fraction):
+        if isinstance(v, Fraction) or (isinstance(v, int) and not isinstance(v, bool)):
             return v
-        if isinstance(v, int) and not isinstance(v, bool):
-            return Fraction(v)
         raise TypeError("Q entries must be Fraction or int, got %r" % (v,))
     if isinstance(v, int) and not isinstance(v, bool):
         return v % field.p
     raise TypeError("F_p entries must be int, got %r" % (v,))
+
+
+def _over_common_den(field, grid):
+    """(ints, den) for a grid of scalars: over Q, den is the lcm of the denominators.
+
+    The result is canonical: a prime's highest power in den divides the
+    denominator of some entry exactly, and that entry's numerator is prime
+    to it.
+    """
+    if not isinstance(field, Rationals):
+        return grid, 1
+    den = lcm(*[v.denominator for row in grid for v in row])
+    return tuple(tuple([v.numerator * (den // v.denominator) for v in row]) for row in grid), den
 
 
 def _map_entries(field, op, *grids):
@@ -61,16 +78,30 @@ def _map_entries(field, op, *grids):
     return tuple(tuple([v % p for v in map(op, *rows)]) for rows in zip(*grids))
 
 
-class Matrix:
-    """A rows-by-cols matrix over a Field, stored as a tuple of row tuples."""
+def _over(m, den):
+    """m's ints rescaled to the denominator den, a multiple of m's own."""
+    if m._den == den:
+        return m._ints
+    k = den // m._den
+    return tuple(tuple([k * v for v in row]) for row in m._ints)
 
-    __slots__ = ("field", "rows", "cols", "entries")
+
+def _ratio(v, den):
+    """The reduced "num/den" text of v / den."""
+    g = gcd(v, den)
+    return "%d/%d" % (v // g, den // g)
+
+
+class Matrix:
+    """A rows-by-cols matrix over a Field: int rows over one positive denominator."""
+
+    __slots__ = ("field", "rows", "cols", "_ints", "_den")
 
     def __init__(self, field, entries, cols=None):
-        entries = tuple(tuple(_coerce(field, v) for v in row) for row in entries)
-        if entries:
-            width = len(entries[0])
-            if any(len(row) != width for row in entries):
+        grid = tuple(tuple(_coerce(field, v) for v in row) for row in entries)
+        if grid:
+            width = len(grid[0])
+            if any(len(row) != width for row in grid):
                 raise ShapeMismatchError("ragged rows")
             if cols is not None and cols != width:
                 raise ShapeMismatchError("cols=%d but rows have %d entries" % (cols, width))
@@ -78,34 +109,53 @@ class Matrix:
         else:
             if cols is None:
                 cols = 0
+        ints, den = _over_common_den(field, grid)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(entries))
+        object.__setattr__(self, "rows", len(ints))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _raw(cls, field, entries, cols):
-        """Internal constructor for already-canonical entries."""
+    def _raw(cls, field, ints, cols, den=1):
+        """Internal constructor for ints over den, brought to canonical form.
+
+        den may be negative or share a factor with every entry; both are
+        divided out here, the one place that does so.
+        """
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(ints))
+            if den < 0:
+                g = -g
+            if g != 1:
+                ints = tuple(tuple([v // g for v in row]) for row in ints)
+                den //= g
         m = object.__new__(cls)
         object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "rows", len(ints))
         object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "_ints", ints)
+        object.__setattr__(m, "_den", den)
         return m
 
     @classmethod
     def identity(cls, field, n):
-        one, zero = (field.one,), (field.zero,)
-        rows = tuple(zero * i + one + zero * (n - 1 - i) for i in range(n))
-        return cls._raw(field, rows, n)
+        return cls._raw(field, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        zero = field.zero
-        return cls._raw(field, tuple((zero,) * cols for _ in range(rows)), cols)
+        return cls._raw(field, tuple((0,) * cols for _ in range(rows)), cols)
+
+    @property
+    def entries(self):
+        """The entries as row tuples: reduced Fractions over Q, ints in [0, p) over F_p."""
+        if not isinstance(self.field, Rationals):
+            return self._ints
+        den = self._den
+        return tuple(tuple([Fraction(v, den) for v in row]) for row in self._ints)
 
     @property
     def is_square(self):
@@ -113,7 +163,8 @@ class Matrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        v = self._ints[i][j]
+        return Fraction(v, self._den) if isinstance(self.field, Rationals) else v
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -121,11 +172,12 @@ class Matrix:
         return (
             self.field == other.field
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._den == other._den
+            and self._ints == other._ints
         )
 
     def __hash__(self):
-        return hash((self.field, self.cols, self.entries))
+        return hash((self.field, self.cols, self._den, self._ints))
 
     def __repr__(self):
         return "Matrix(%r, %dx%d, %r)" % (self.field, self.rows, self.cols, self.entries)
@@ -151,11 +203,12 @@ class Matrix:
             raise ShapeMismatchError(
                 "add %dx%d to %dx%d" % (self.rows, self.cols, other.rows, other.cols)
             )
-        rows = _map_entries(self.field, op, self.entries, other.entries)
-        return Matrix._raw(self.field, rows, self.cols)
+        den = lcm(self._den, other._den)
+        rows = _map_entries(self.field, op, _over(self, den), _over(other, den))
+        return Matrix._raw(self.field, rows, self.cols, den)
 
     def __neg__(self):
-        return Matrix._raw(self.field, _map_entries(self.field, neg, self.entries), self.cols)
+        return Matrix._raw(self.field, _map_entries(self.field, neg, self._ints), self.cols, self._den)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -168,14 +221,12 @@ class Matrix:
             )
         if self.rows == 0 or self.cols == 0 or other.cols == 0:
             return Matrix.zeros(self.field, self.rows, other.cols)
+        bt = tuple(zip(*other._ints))
         if isinstance(self.field, Rationals):
-            rows = _q_product(self.entries, other.entries)
-        else:
-            p = self.field.p
-            bt = tuple(zip(*other.entries))
-            rows = tuple(
-                tuple([sum(map(mul, row, col)) % p for col in bt]) for row in self.entries
-            )
+            rows = tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in self._ints)
+            return Matrix._raw(self.field, rows, other.cols, self._den * other._den)
+        p = self.field.p
+        rows = tuple(tuple([sum(map(mul, row, col)) % p for col in bt]) for row in self._ints)
         return Matrix._raw(self.field, rows, other.cols)
 
     def __pow__(self, k):
@@ -193,32 +244,44 @@ class Matrix:
         return Matrix.identity(self.field, self.rows) if result is None else result
 
     def transpose(self):
-        rows = tuple(zip(*self.entries)) if self.entries else ((),) * self.cols
-        return Matrix._raw(self.field, rows, self.rows)
+        rows = tuple(zip(*self._ints)) if self._ints else ((),) * self.cols
+        return Matrix._raw(self.field, rows, self.rows, self._den)
 
     def scale(self, c):
-        rows = _map_entries(self.field, partial(mul, _coerce(self.field, c)), self.entries)
-        return Matrix._raw(self.field, rows, self.cols)
+        c = _coerce(self.field, c)
+        rows = _map_entries(self.field, partial(mul, c.numerator), self._ints)
+        return Matrix._raw(self.field, rows, self.cols, self._den * c.denominator)
 
     def is_zero(self):
-        zero = self.field.zero
-        return all(a == zero for row in self.entries for a in row)
+        return not any(map(any, self._ints))
 
     def take_rows(self, indices):
-        rows = tuple(self.entries[i] for i in indices)
-        return Matrix._raw(self.field, rows, self.cols)
+        rows = tuple(self._ints[i] for i in indices)
+        return Matrix._raw(self.field, rows, self.cols, self._den)
 
     def take_cols(self, indices):
-        rows = tuple(tuple(row[j] for j in indices) for row in self.entries)
-        return Matrix._raw(self.field, rows, len(indices))
+        rows = tuple(tuple([row[j] for j in indices]) for row in self._ints)
+        return Matrix._raw(self.field, rows, len(indices), self._den)
 
     def to_json(self):
-        enc = self.field.scalar_to_json
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[enc(a) for a in row] for row in self.entries],
-        }
+        """{"rows", "cols", "entries"}: "num/den" strings over Q, ints over F_p.
+
+        A Q entry whose reduced numerator or denominator has more digits than
+        Python converts to text (sys.get_int_max_str_digits) raises a
+        ValueError that names the limit and none of the digits.
+        """
+        if isinstance(self.field, Rationals):
+            den = self._den
+            try:
+                entries = [[_ratio(v, den) for v in row] for row in self._ints]
+            except ValueError as exc:
+                raise ValueError(
+                    "answer entry over the %d-digit limit: its numerator or denominator "
+                    "has more digits than Python converts to text" % _digit_limit()
+                ) from exc
+        else:
+            entries = [list(row) for row in self._ints]
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @classmethod
     def from_json(cls, field, obj):
@@ -240,35 +303,38 @@ class Matrix:
         if len(entries) != rows:
             raise ParseError("entries has %r rows, expected %r" % (len(entries), rows))
         dec = field.scalar_from_json
-        out = []
+        grid = []
         for row in entries:
             if len(row) != cols:
                 raise ParseError("row of length %r, expected %r" % (len(row), cols))
-            out.append(tuple(dec(a) for a in row))
-        return cls._raw(field, tuple(out), cols)
+            grid.append(tuple(dec(a) for a in row))
+        ints, den = _over_common_den(field, tuple(grid))
+        return cls._raw(field, ints, cols, den)
 
 
 def hstack(a, b):
     a._check_field(b)
     if a.rows != b.rows:
         raise ShapeMismatchError("hstack %d rows with %d rows" % (a.rows, b.rows))
-    rows = tuple(ra + rb for ra, rb in zip(a.entries, b.entries))
-    return Matrix._raw(a.field, rows, a.cols + b.cols)
+    den = lcm(a._den, b._den)
+    rows = tuple(ra + rb for ra, rb in zip(_over(a, den), _over(b, den)))
+    return Matrix._raw(a.field, rows, a.cols + b.cols, den)
 
 
 def vstack(a, b):
     a._check_field(b)
     if a.cols != b.cols:
         raise ShapeMismatchError("vstack %d cols with %d cols" % (a.cols, b.cols))
-    return Matrix._raw(a.field, a.entries + b.entries, a.cols)
+    den = lcm(a._den, b._den)
+    return Matrix._raw(a.field, _over(a, den) + _over(b, den), a.cols, den)
 
 
 def block_diag(a, b):
     a._check_field(b)
-    zero = a.field.zero
-    top = tuple(row + (zero,) * b.cols for row in a.entries)
-    bottom = tuple((zero,) * a.cols + row for row in b.entries)
-    return Matrix._raw(a.field, top + bottom, a.cols + b.cols)
+    den = lcm(a._den, b._den)
+    top = tuple(row + (0,) * b.cols for row in _over(a, den))
+    bottom = tuple((0,) * a.cols + row for row in _over(b, den))
+    return Matrix._raw(a.field, top + bottom, a.cols + b.cols, den)
 
 
 def rref(m):
@@ -279,10 +345,11 @@ def rref(m):
     deterministic: first row with a nonzero entry in the current column.
     """
     if isinstance(m.field, Rationals):
-        rows, pivots = _q_rref(m.entries, m.cols)
+        rows, pivots, den = _q_rref(m._ints, m.cols)
     else:
-        rows, pivots = _fp_rref(m.entries, m.cols, m.field.p)
-    reduced = Matrix._raw(m.field, tuple(map(tuple, rows)), m.cols)
+        rows, pivots = _fp_rref(m._ints, m.cols, m.field.p)
+        den = 1
+    reduced = Matrix._raw(m.field, tuple(map(tuple, rows)), m.cols, den)
     return reduced, tuple(pivots), len(pivots)
 
 
@@ -322,19 +389,20 @@ def _fp_rref(entries, ncols, p):
     return rows, pivots
 
 
-def _q_rref(entries, ncols):
-    """Bareiss's fraction-free Gauss-Jordan on the row-cleared integers.
+def _q_rref(ints, ncols):
+    """Bareiss's fraction-free Gauss-Jordan on a matrix's stored ints.
 
-    Every row other than the pivot row becomes (p*row - a*prow) // prev,
-    with p the pivot, a the row's entry in the pivot column and prev the
-    previous pivot (1 at first). Sylvester's identity makes each division
-    exact. A row with a = 0 takes the same formula: p*row is a multiple of
-    prev, while p itself need not be. Every row stays a nonzero multiple of
-    its counterpart in Gauss-Jordan over Fractions, so the zero pattern,
-    hence the pivots, is the same. Each pivot row ends with the last pivot
-    in its pivot column, so one division by it gives R.
+    Returns (rows, pivots, den) with R = rows / den. Every row other than
+    the pivot row becomes (p*row - a*prow) // prev, with p the pivot, a the
+    row's entry in the pivot column and prev the previous pivot (1 at
+    first). Sylvester's identity makes each division exact. A row with
+    a = 0 takes the same formula: p*row is a multiple of prev, while p
+    itself need not be. Every row stays a nonzero multiple of its
+    counterpart in Gauss-Jordan over Fractions, so the zero pattern, hence
+    the pivots, is the same. Each pivot row ends with the last pivot in its
+    pivot column, so R is the rows over that pivot.
     """
-    rows = [row for row, _ in _cleared(entries)]
+    rows = list(ints)
     pivots = []
     prev = 1
     for r, c in _pivots(rows, ncols):
@@ -346,25 +414,7 @@ def _q_rref(entries, ncols):
                 rows[i] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
         prev = p
         pivots.append(c)
-    return [[Fraction(x, prev) for x in row] for row in rows], pivots
-
-
-def _cleared(vectors):
-    """Each vector of rationals as (ints, d): the vector times d, its denominators' lcm."""
-    out = []
-    for v in vectors:
-        d = lcm(*[x.denominator for x in v])
-        out.append(([x.numerator * (d // x.denominator) for x in v], d))
-    return out
-
-
-def _q_product(a, b):
-    """Entries of a*b over Q: integer dot products of cleared rows of a and columns of b."""
-    cols = _cleared(zip(*b))
-    return tuple(
-        tuple([Fraction(sum(map(mul, row, col)), d * e) for col, e in cols])
-        for row, d in _cleared(a)
-    )
+    return rows, pivots, prev
 
 
 def rank(m):
@@ -384,17 +434,17 @@ def kernel_basis(m):
 def _kernel(triple):
     """kernel_basis read off a finished rref triple."""
     reduced, pivots, rk = triple
-    field, n = reduced.field, reduced.cols
+    field, n, den = reduced.field, reduced.cols, reduced._den
     free = sorted(set(range(n)).difference(pivots))
     # for the i-th pivot pc, row pc is minus row i of R at the free columns;
-    # for the j-th free column fc, row fc is row j of the identity
+    # for the j-th free column fc, row fc is row j of the identity (den over den)
     rows = [None] * n
-    block = [[row[fc] for fc in free] for row in reduced.entries[:rk]]
+    block = [[row[fc] for fc in free] for row in reduced._ints[:rk]]
     for pc, row in zip(pivots, _map_entries(field, neg, block)):
         rows[pc] = row
-    for fc, unit in zip(free, Matrix.identity(field, len(free)).entries):
-        rows[fc] = unit
-    return Matrix._raw(field, tuple(rows), len(free))
+    for j, fc in enumerate(free):
+        rows[fc] = (0,) * j + (den,) + (0,) * (len(free) - 1 - j)
+    return Matrix._raw(field, tuple(rows), len(free), den)
 
 
 def image_basis(m):

@@ -418,6 +418,34 @@ def test_exponent_scalar_exit_one(capsys):
     assert code == 1 and "error" in resp and "exponent" in resp["error"]
 
 
+def test_digit_limit_on_input(capsys):
+    """A scalar past Python's int/str digit limit is refused by name, digits not echoed."""
+    limit = sys.get_int_max_str_digits()
+    big = "1" + "0" * limit
+    for payload in ('[["%s"]]' % big, '[["1/%s"]]' % big, "[[%s]]" % big):
+        code, out = run_cli(capsys, ["drazin", "--matrix", payload])
+        error = json.loads(out)["error"]
+        assert code == 1 and "input" in error and "%d-digit limit" % limit in error, payload
+        assert "0" * 50 not in out
+    help_text = io.StringIO()
+    with contextlib.redirect_stdout(help_text), pytest.raises(SystemExit):
+        main(["--help"])
+    assert "at most %d digits" % limit in " ".join(help_text.getvalue().split())
+
+
+def test_digit_limit_on_answer(capsys):
+    """x = 10^100 is certified, but x^60 in the eventuating family has 6001
+    digits, past the default limit of 4300."""
+    limit = sys.get_int_max_str_digits()
+    argv = ["decompose", "--matrix", '[["1%s"]]' % ("0" * 100), "--window"]
+    code, resp = run_json(capsys, argv + ["2"])
+    assert code == 0
+    code, out = run_cli(capsys, argv + ["60"])
+    error = json.loads(out)["error"]
+    assert code == 1 and "answer entry" in error and "%d-digit limit" % limit in error
+    assert "0" * 50 not in out
+
+
 def test_route_c_refuses_int64_overflow():
     # With p = 4294967311 the int64 power walk of this order-2 matrix wraps
     # around and never closes; route C must refuse before walking.

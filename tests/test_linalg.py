@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import chain
+from math import gcd
 from operator import add, mul, neg, sub
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drazin import (
+    DrazinError,
     FieldMismatchError,
     Matrix,
     NotSquareError,
@@ -28,7 +31,15 @@ from drazin import (
     vstack,
 )
 
-from oracles import frac_matmul, frac_rank, frac_rref, modp_matmul, modp_rank, modp_rref
+from oracles import (
+    frac_identity,
+    frac_matmul,
+    frac_rank,
+    frac_rref,
+    modp_matmul,
+    modp_rank,
+    modp_rref,
+)
 
 F5 = PrimeField(5)
 
@@ -402,3 +413,128 @@ def test_kernel_basis_properties(data):
     assert (ker.rows, ker.cols) == (cols, cols - len(pivots))
     assert (matrix * ker).is_zero()
     assert ker.take_rows(free) == Matrix.identity(field, len(free))
+
+
+# Property tests: Q matrices are stored as int rows over one positive
+# denominator prime to every entry. Every path that builds a matrix must
+# reach that canonical form, so that == and hash agree with the same matrix
+# built from the oracles' Fractions; zero matrices and entries sharing a
+# factor are where a missed gcd would show.
+
+
+@st.composite
+def shared_factor_grid(draw, rows, cols):
+    """Fractions with a common factor g drawn per matrix, or all zeros."""
+    if draw(st.integers(0, 5)) == 0:
+        return tuple((Fraction(0),) * cols for _ in range(rows))
+    g = draw(st.sampled_from((1, 2, 3, 6)))
+    entry = st.builds(
+        lambda a, b: Fraction(a * g, b), st.integers(-4, 4), st.sampled_from((1, 2, 3, 4, 6, 12))
+    )
+    return grid(draw, entry, rows, cols)
+
+
+def assert_canonical(got, want, cols):
+    """got equals, and hashes like, Matrix(Q, want), and reads back want."""
+    expected = Matrix(Q, want, cols=cols)
+    assert got == expected and hash(got) == hash(expected)
+    assert (got.rows, got.cols) == (len(want), cols)
+    assert got.entries == tuple(map(tuple, want))
+    for v in chain.from_iterable(got.entries):
+        assert type(v) is Fraction and v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+    assert got._den > 0 and gcd(got._den, *chain.from_iterable(got._ints)) == 1
+
+
+SMALL_DIMS = st.integers(0, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_q_constructor_is_canonical(data):
+    r, c, k = data.draw(SMALL_DIMS), data.draw(SMALL_DIMS), data.draw(SMALL_DIMS)
+    a_grid = data.draw(shared_factor_grid(r, c))
+    b_grid = data.draw(shared_factor_grid(c, k))
+    d_grid = data.draw(shared_factor_grid(r, c))
+    a, b, d = Matrix(Q, a_grid, cols=c), Matrix(Q, b_grid, cols=k), Matrix(Q, d_grid, cols=c)
+    scalar = data.draw(st.fractions(-6, 6, max_denominator=12))
+    rows = data.draw(st.lists(st.integers(0, r - 1), max_size=4)) if r else []
+    cols = data.draw(st.lists(st.integers(0, c - 1), max_size=4)) if c else []
+    # the same entries as ints where integral, and as unreduced "num/den" text
+    ints = [[int(v) if v.denominator == 1 else v for v in row] for row in a_grid]
+    text = [["%d/%d" % (2 * v.numerator, 2 * v.denominator) for v in row] for row in a_grid]
+    reduced, pivots = frac_rref(a_grid)
+    cases = [
+        (Matrix(Q, ints, cols=c), a_grid, c),
+        (Matrix.from_json(Q, {"rows": r, "cols": c, "entries": text}), a_grid, c),
+        (a * b, expected_product(frac_matmul, a_grid, b_grid, c, k), k),
+        (rref(a)[0], reduced, c),
+        (a.take_rows(rows), tuple(a_grid[i] for i in rows), c),
+        (a.take_cols(cols), tuple(tuple(row[j] for j in cols) for row in a_grid), len(cols)),
+        (a.transpose(), tuple(zip(*a_grid)) if r else ((),) * c, r),
+        (a.scale(scalar), entrywise(Q, partial(mul, scalar), a_grid), c),
+        (a.scale(0), entrywise(Q, partial(mul, 0), a_grid), c),
+        (a + d, entrywise(Q, add, a_grid, d_grid), c),
+        (a - d, entrywise(Q, sub, a_grid, d_grid), c),
+        (-a, entrywise(Q, neg, a_grid), c),
+        (hstack(a, d), tuple(x + y for x, y in zip(a_grid, d_grid)), 2 * c),
+        (vstack(a, d), a_grid + d_grid, c),
+        (block_diag(a, b), block_diag_grid(a_grid, b_grid, c, k), c + k),
+        (Matrix.identity(Q, r), frac_identity(r), r),
+        (Matrix.zeros(Q, r, c), tuple((Fraction(0),) * c for _ in range(r)), c),
+        (kernel_basis(a), kernel_grid(reduced, pivots, c), c - len(pivots)),
+    ]
+    for got, want, width in cases:
+        assert_canonical(got, want, width)
+    n = data.draw(SMALL_DIMS)
+    s_grid = data.draw(shared_factor_grid(n, n))
+    reduced, pivots = frac_rref(tuple(row + unit for row, unit in zip(s_grid, frac_identity(n))))
+    if pivots[:n] == tuple(range(n)):
+        assert_canonical(invert_matrix(Matrix(Q, s_grid, cols=n)), tuple(row[n:] for row in reduced), n)
+    else:
+        with pytest.raises(SingularMatrixError):
+            invert_matrix(Matrix(Q, s_grid, cols=n))
+
+
+def block_diag_grid(a, b, a_cols, b_cols):
+    zero = Fraction(0)
+    return tuple(row + (zero,) * b_cols for row in a) + tuple((zero,) * a_cols + row for row in b)
+
+
+def kernel_grid(reduced, pivots, cols):
+    """The canonical kernel basis read off an oracle rref."""
+    free = [j for j in range(cols) if j not in pivots]
+    rows = []
+    for j in range(cols):
+        if j in pivots:
+            rows.append(tuple(-reduced[pivots.index(j)][f] for f in free))
+        else:
+            rows.append(tuple(Fraction(int(f == j)) for f in free))
+    return tuple(rows)
+
+
+# Arbitrary JSON, and square rows of scalars that are malformed, unreduced,
+# or past Python's int/str digit limit: from_json answers with a Matrix that
+# round-trips through to_json, or raises a DrazinError, never anything else.
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["rows", "cols", "entries", ""]), inner),
+    max_leaves=16,
+)
+JSON_SCALARS = st.integers(-10, 10) | st.text(max_size=8) | st.sampled_from(
+    ["2/4", "-6/9", "0/5", "1/0", "0.25", "1e5", "1" + "0" * 5000, "1/" + "7" * 5000, 0.5, None, True]
+)
+JSON_SQUARES = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(JSON_SCALARS, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Q, F5, PrimeField(2)]), ANY_JSON | JSON_SQUARES)
+def test_from_json_raises_only_drazin_errors(field, obj):
+    try:
+        m = Matrix.from_json(field, obj)
+    except DrazinError:
+        return
+    assert Matrix.from_json(field, m.to_json()) == m

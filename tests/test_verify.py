@@ -486,6 +486,47 @@ def test_cross_route_audit_q():
     assert "A=B" in payload["pairwise_equal"]
 
 
+@st.composite
+def _square_inputs(draw):
+    """(field, rows): a square matrix of size 0..6 over Q or F_2, F_3, F_5,
+    random, a low-rank product L*R, or a nilpotent block beside a random one."""
+    field = draw(st.sampled_from([Q, F2, PrimeField(3), F5]))
+    entry = st.fractions(-5, 5, max_denominator=6) if field == Q else st.integers(0, field.p - 1)
+    n = draw(st.integers(0, 6))
+
+    def block(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    kind = draw(st.sampled_from(["random", "low_rank", "nilpotent"]))
+    if kind == "random" or n == 0:
+        return field, block(n, n)
+    if kind == "low_rank":
+        k = draw(st.integers(1, n))
+        matmul = frac_matmul if field == Q else (lambda a, b: modp_matmul(a, b, field.p))
+        return field, [list(row) for row in matmul(block(n, k), block(k, n))]
+    k = draw(st.integers(1, n))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            rows[i][j] = draw(entry)
+    for i, row in enumerate(block(n - k, n - k), start=k):
+        rows[i][k:] = row
+    return field, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_inputs())
+def test_cross_route_audit_agrees_on_every_small_shape(case):
+    """Routes A and B (and C over F_p) agree, and A's answer passes the D axioms."""
+    field, rows = case
+    x = Matrix(field, rows, cols=len(rows))
+    report = cross_route_audit(x)
+    assert sorted(report.inverses) == (["A", "B"] if field == Q else ["A", "B", "C"])
+    assert report.agree
+    axioms = check_axioms("D", x=x, inverse=report.inverses["A"])
+    assert axioms.passed and axioms.witnessed_index == report.indices["A"]
+
+
 def test_cross_route_audit_zero_dim():
     report = cross_route_audit(Matrix(Q, [], cols=0))
     assert report.agree
