@@ -296,11 +296,23 @@ def _cmd_verify(args):
     return response, 0
 
 
+def _int_flag(text):
+    """argparse's int, except that past the digit limit the error names the
+    limit instead of echoing every digit."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = _digit_limit()
+        if limit and len(text) > limit:
+            raise argparse.ArgumentTypeError("integer over the %d-digit limit" % limit)
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
 def _matrix_command(subs, name, help, *flags):
     """A subcommand over --field/--p taking each (flag, help) as a required JSON matrix."""
     sub = subs.add_parser(name, help=help)
     sub.add_argument("--field", choices=["Q", "Fp"], default="Q")
-    sub.add_argument("--p", type=int, default=None, help="prime modulus for Fp")
+    sub.add_argument("--p", type=_int_flag, default=None, help="prime modulus for Fp")
     for flag, flag_help in flags:
         sub.add_argument(flag, required=True, help=flag_help)
     return sub
@@ -348,15 +360,15 @@ def build_parser():
     _add_common(p, _cmd_endofun)
 
     p = subs.add_parser("monoid", help="Drazin inverse in multiplicative Z/n")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--element", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=None, dest="max_steps",
+    p.add_argument("--modulus", type=_int_flag, required=True)
+    p.add_argument("--element", type=_int_flag, required=True)
+    p.add_argument("--max-steps", type=_int_flag, default=None, dest="max_steps",
                    help="power-walk step limit, at most %d (default: the smaller of the "
                    "modulus and %d)" % (_WALK_LIMIT, _WALK_LIMIT))
     _add_common(p, _cmd_monoid)
 
     p = _matrix_command(subs, "decompose", "all decompositions attached to x", ("--matrix", None))
-    p.add_argument("--window", type=int, default=None,
+    p.add_argument("--window", type=_int_flag, default=None,
                    help="eventuating window radius, 1 to %d (default: index + 2)" % _WINDOW_LIMIT)
     _add_common(p, _cmd_decompose)
 

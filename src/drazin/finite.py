@@ -4,37 +4,40 @@ elements of finite monoids given by callbacks.
 An endofunction stabilizes: the image chain im(f) ⊇ im(f²) ⊇ ... becomes
 constant at some k and f permutes the stable set, so inverting there and
 pushing through f^k gives the Drazin inverse. A finite-monoid element
-repeats a power, x^m = x^{m+c}, and the inverse is read off the (m, c) of
-the first repeat. Every power walk is bounded: by max_steps when given,
-else by the monoid size capped at _WALK_LIMIT, and a walk that finds no
-repeat within its budget raises CycleNotFoundError.
+repeats a power, x^m = x^{m+c}, and x^D = x^j for the one j in [m, m+c)
+with c | j + 1. The walk to that first repeat stores the keys of x^0 ..
+x^T only, T a bound on the tail m, so its memory does not grow with it.
+Its length is bounded by max_steps when given, else by the monoid size
+capped at _WALK_LIMIT; past it the walk raises CycleNotFoundError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from .exceptions import CycleNotFoundError, ParseError
 
-__all__ = [
-    "EndoFun",
-    "Monoid",
-    "MonoidElement",
-    "all_endofunctions",
-    "endo_drazin",
-    "eventual_image",
-    "fp_matrix_monoid",
-    "int_mod_monoid",
-    "monoid_drazin",
-    "power_cycle",
-    "transformation_monoid",
-]
-
-# Default step limit of every power walk. A walk keeps every power, about
-# 140 MB per million steps, so a monoid's size alone (p^(n^2) for matrices)
-# bounds nothing in practice.
+# Default step limit of every power walk: a time budget, since a monoid's
+# size (p^(n^2) for matrices) bounds nothing in practice. A walk's memory is
+# bounded by the monoid's tail bound, not by its length.
 _WALK_LIMIT = 10 ** 6
+
+
+def _power(x, k, mul, one):
+    """x^k by square-and-multiply, with no product by the identity: one() is
+    called only for k = 0."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a natural number")
+    result = None
+    while k:
+        if k & 1:
+            result = x if result is None else mul(result, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return one() if result is None else result
 
 
 @dataclass(frozen=True)
@@ -68,12 +71,7 @@ class EndoFun:
         return EndoFun(self.n, tuple(self.table[v] for v in other.table))
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a natural number")
-        result = EndoFun.identity(self.n)
-        for _ in range(k):
-            result = self * result
-        return result
+        return _power(self, k, EndoFun.__mul__, partial(EndoFun.identity, self.n))
 
     def to_json(self):
         return {"n": self.n, "table": list(self.table)}
@@ -120,15 +118,10 @@ def endo_drazin(f):
     are what make f^{k+1} o f^D = f^k land back on f^k(x) exactly.
     """
     stable, k = eventual_image(f)
-    sigma_inverse = {f.table[i]: i for i in stable}
-    fk = f ** k
-    table = []
-    for i in range(f.n):
-        v = fk.table[i]
-        for _ in range(k + 1):
-            v = sigma_inverse[v]
-        table.append(v)
-    return EndoFun(f.n, tuple(table)), k
+    undo = list(range(f.n))  # sigma^{-1} on the stable set, the identity off it
+    for i in stable:
+        undo[f.table[i]] = i
+    return EndoFun(f.n, undo) ** (k + 1) * f ** k, k
 
 
 class Monoid:
@@ -140,6 +133,8 @@ class Monoid:
     number of elements and, capped at _WALK_LIMIT, serves as the default
     step budget for power walks.
     """
+
+    _tail = None  # bounds every element's tail m; the constructors below set it
 
     def __init__(self, mul, identity, *, key=None, name=None, size=None):
         self.mul = mul
@@ -171,20 +166,31 @@ class MonoidElement:
 def _first_repeat(mon, x, max_steps):
     """Walk x^0, x^1, ... to its first repeat x^{m+c} = x^m, keyed by mon.key.
 
-    Returns (powers, m, c) with powers = [x^0 .. x^{m+c-1}]: m is the tail
-    length and c the cycle length.
+    Returns (kept, m, c): m is the tail length, c the cycle length, and kept
+    maps e to x^e for e <= T and for e = m + c - 1. Past x^T the walk only
+    looks keys up; the first hit is still x^{m+c}, since m <= T. T is the
+    monoid's tail bound, or the budget when it sets none.
     """
-    powers = [mon.identity]
+    if max_steps is None:
+        if mon.size is None:
+            raise ValueError("max_steps required for a monoid of unknown size")
+        max_steps = min(mon.size, _WALK_LIMIT)
+    tail = max_steps if mon._tail is None else mon._tail
     key = mon.key
-    seen = {key(mon.identity): 0}
+    power = mon.identity
+    kept = {0: power}
+    seen = {key(power): 0}
     for step in range(1, max_steps + 1):
-        nxt = mon.mul(powers[-1], x)
+        nxt = mon.mul(power, x)
         k = key(nxt)
-        if k in seen:
-            m = seen[k]
-            return powers, m, step - m
-        seen[k] = step
-        powers.append(nxt)
+        m = seen.get(k)
+        if m is not None:
+            kept[step - 1] = power
+            return kept, m, step - m
+        if step <= tail:
+            seen[k] = step
+            kept[step] = nxt
+        power = nxt
     # A numpy matrix (fp_matrix_monoid) is named by its rows, on one line.
     shown = x.tolist() if hasattr(x, "tolist") else x
     raise CycleNotFoundError(
@@ -194,25 +200,17 @@ def _first_repeat(mon, x, max_steps):
 
 def power_cycle(x, max_steps=None):
     """(m, c) of the first repeated power x^m = x^{m+c}."""
-    return _cycle_drazin(x, max_steps)[1:]
-
-
-def _resolve_steps(mon, max_steps):
-    if max_steps is not None:
-        return max_steps
-    if mon.size is None:
-        raise ValueError("max_steps required for a monoid of unknown size")
-    return min(mon.size, _WALK_LIMIT)
+    return _first_repeat(x.monoid, x.value, max_steps)[1:]
 
 
 def monoid_drazin(x, max_steps=None):
     """(x^D, index) for a finite-monoid element, by power-cycle detection.
 
     max_steps defaults to min(monoid size, _WALK_LIMIT). With x^m = x^{m+c}
-    the first repeat: x^D is x^{c-1} if m = 0, x^m if c = 1, and x^{mc-1}
-    otherwise. The index is the tail length m: x*x^D is a power in the
-    cycle, so x^i * x * x^D lies in the cycle too, and for i < m it differs
-    from x^i, which lies outside it.
+    the first repeat, x^D = x^j for j = m + (-1 - m) mod c: c divides j + 1,
+    so x*x^D = x^{j+1} is the identity of the cycle. The index is the tail
+    length m: x*x^D is a power in the cycle, so x^i * x * x^D lies in the
+    cycle too, and for i < m it differs from x^i, which lies outside it.
     """
     return _cycle_drazin(x, max_steps)[:2]
 
@@ -220,38 +218,36 @@ def monoid_drazin(x, max_steps=None):
 def _cycle_drazin(x, max_steps):
     """(x^D, m, c), all read off one walk to the first repeat x^m = x^{m+c}."""
     mon = x.monoid
-    powers, m, c = _first_repeat(mon, x.value, _resolve_steps(mon, max_steps))
-    if m == 0:
-        exponent = c - 1
-    elif c == 1:
-        exponent = m
-    else:
-        exponent = m * c - 1
-    if exponent >= len(powers):
-        exponent = m + (exponent - m) % c
-    return mon.element(powers[exponent]), m, c
+    kept, m, c = _first_repeat(mon, x.value, max_steps)
+    j = m + (-1 - m) % c
+    value = kept[j] if j in kept else _power(x.value, j, mon.mul, lambda: mon.identity)
+    return mon.element(value), m, c
 
 
 def int_mod_monoid(modulus):
     """The multiplicative monoid of Z/modulus."""
     if not isinstance(modulus, int) or modulus <= 0:
         raise ValueError("modulus must be a positive integer")
-    return Monoid(
+    monoid = Monoid(
         mul=lambda a, b: (a * b) % modulus,
         identity=1 % modulus,
         name="Z/%d under multiplication" % modulus,
         size=modulus,
     )
+    monoid._tail = modulus.bit_length()  # m <= the largest prime exponent of modulus
+    return monoid
 
 
 def transformation_monoid(n):
     """All endofunction tables on n points under applicative composition."""
-    return Monoid(
+    monoid = Monoid(
         mul=lambda a, b: tuple(a[v] for v in b),
         identity=tuple(range(n)),
         name="transformations of %d points" % n,
         size=n ** n,
     )
+    monoid._tail = n  # the image shrinks at each step of the tail
+    return monoid
 
 
 def fp_matrix_monoid(p, n):
@@ -269,10 +265,12 @@ def fp_matrix_monoid(p, n):
         )
     import numpy as np
 
-    return Monoid(
+    monoid = Monoid(
         mul=lambda a, b: (a @ b) % p,
         identity=np.eye(n, dtype=np.int64),
         key=lambda a: a.tobytes(),
         name="%dx%d matrices over F_%d" % (n, n, p),
         size=p ** (n * n),
     )
+    monoid._tail = n  # the index of an n x n matrix
+    return monoid

@@ -45,6 +45,7 @@ from .exceptions import (
     SingularMatrixError,
 )
 from .fields import Rationals, _digit_limit
+from .finite import _power
 
 
 def _coerce(field, v):
@@ -232,16 +233,7 @@ class Matrix:
     def __pow__(self, k):
         if not self.is_square:
             raise NotSquareError("power of a %dx%d matrix" % (self.rows, self.cols))
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a natural number")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return Matrix.identity(self.field, self.rows) if result is None else result
+        return _power(self, k, Matrix.__mul__, partial(Matrix.identity, self.field, self.rows))
 
     def transpose(self):
         rows = tuple(zip(*self._ints)) if self._ints else ((),) * self.cols

@@ -39,17 +39,6 @@ from .fields import PrimeField
 from .finite import fp_matrix_monoid, monoid_drazin
 from .linalg import Matrix
 
-__all__ = [
-    "AxiomReport",
-    "CrossRouteReport",
-    "all_matrices",
-    "brute_force_drazin",
-    "check_axioms",
-    "check_monoid_axioms",
-    "cross_route_audit",
-    "monoid_cycle_drazin",
-]
-
 
 @dataclass(frozen=True)
 class AxiomReport:

@@ -177,3 +177,32 @@ def min_matrix_index_modp(x, p):
         power = nxt
         prev = modp_rank(power, p)
     raise AssertionError("rank chain must stabilize within n steps")
+
+
+def reference_cycle(mul, identity, x):
+    """(m, c, x^D) for the first repeat x^m = x^{m+c}, keeping every power.
+
+    The plain walk: store x^0, x^1, ... with a dictionary of all of them,
+    stop at the first power seen before, and read x^D off the stored list
+    as x^{c-1} when m = 0, x^m when c = 1 and x^{mc-1} otherwise, folded
+    back into the cycle when mc - 1 lies past the walk.
+    """
+    powers = [identity]
+    seen = {identity: 0}
+    while True:
+        nxt = mul(powers[-1], x)
+        if nxt in seen:
+            m = seen[nxt]
+            c = len(powers) - m
+            break
+        seen[nxt] = len(powers)
+        powers.append(nxt)
+    if m == 0:
+        exponent = c - 1
+    elif c == 1:
+        exponent = m
+    else:
+        exponent = m * c - 1
+    if exponent >= len(powers):
+        exponent = m + (exponent - m) % c
+    return m, c, powers[exponent]

@@ -433,6 +433,26 @@ def test_digit_limit_on_input(capsys):
     assert "at most %d digits" % limit in " ".join(help_text.getvalue().split())
 
 
+def test_digit_limit_on_integer_flags(capsys):
+    """An integer flag past the digit limit exits 1 naming the limit, in a
+    short usage error that echoes none of its digits."""
+    limit = sys.get_int_max_str_digits()
+    big = "1" + "0" * (limit + 100)
+    matrix = ["--matrix", "[[1]]"]
+    for argv in (
+        ["drazin", "--field", "Fp", "--p", big] + matrix,
+        ["monoid", "--modulus", big, "--element", "2"],
+        ["monoid", "--modulus", "12", "--element", big],
+        ["monoid", "--modulus", "12", "--element", "2", "--max-steps", big],
+        ["decompose", "--window", big] + matrix,
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1, argv
+        assert "%d-digit limit" % limit in err and len(err.encode()) < 300, err
+
+
 def test_digit_limit_on_answer(capsys):
     """x = 10^100 is certified, but x^60 in the eventuating family has 6001
     digits, past the default limit of 4300."""

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazin import (
     DrazinData,
@@ -170,3 +172,28 @@ def test_drazin_data_is_frozen():
     assert isinstance(d, DrazinData)
     with pytest.raises(dataclasses.FrozenInstanceError):
         d.index = 5
+
+
+# Mostly-zero entries, and products of two such matrices, so that singular
+# inputs of every index up to n turn up, not just invertible ones.
+SPARSE = {
+    "Q": st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]),
+    "Fp": st.sampled_from([0, 0, 0, 1, 2, 3, 4]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_drazin_inverse_commutes_with_transpose(data):
+    """(x^T)^D = (x^D)^T, with the same index, over Q and F_2, F_3, F_5."""
+    field = data.draw(st.sampled_from([Q, PrimeField(2), PrimeField(3), F5]))
+    n = data.draw(st.integers(0, 6))
+    entry = SPARSE["Q" if field is Q else "Fp"]
+
+    def square():
+        return Matrix(field, [[data.draw(entry) for _ in range(n)] for _ in range(n)])
+
+    x = square() * square() if data.draw(st.booleans()) else square()
+    d, dt = drazin_inverse(x), drazin_inverse(x.transpose())
+    assert dt.inverse == d.inverse.transpose()
+    assert dt.index == d.index

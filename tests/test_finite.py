@@ -1,10 +1,14 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazin import (
     CycleNotFoundError,
+    DrazinError,
     EndoFun,
     Matrix,
     Monoid,
@@ -22,7 +26,7 @@ from drazin import (
     transformation_monoid,
 )
 
-from oracles import brute_drazin_endo, brute_drazin_zmod, compose
+from oracles import brute_drazin_endo, brute_drazin_zmod, compose, reference_cycle
 
 
 def test_endofun_basics():
@@ -59,6 +63,28 @@ def test_endofun_json_errors():
         EndoFun.from_json({"n": 2, "table": [0, "x"]})
     with pytest.raises(ParseError):
         EndoFun.from_json("nope")
+
+
+# Arbitrary JSON, with small ints and the keys "n" and "table" common enough
+# that some payloads are valid endofunctions: from_json answers with an
+# EndoFun that round-trips through to_json, or raises a DrazinError.
+ENDO_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["n", "table", ""]), inner),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENDO_JSON)
+def test_endofun_from_json_raises_only_drazin_errors(obj):
+    try:
+        f = EndoFun.from_json(obj)
+    except DrazinError:
+        return
+    assert EndoFun.from_json(f.to_json()) == f
 
 
 def test_all_endofunctions_counts():
@@ -257,3 +283,30 @@ def test_monoid_index_is_the_tail_length():
             assert index == power_cycle(x)[0]
             report = check_monoid_axioms(mon, value, d.value, cap)
             assert report.passed and report.witnessed_index == index
+
+
+def test_walk_agrees_with_a_walk_that_keeps_every_power():
+    """(m, c, x^D) on every element of Z/m for m < 300 and on every
+    transformation of at most 4 points, against the oracle's plain walk."""
+    cases = [(int_mod_monoid(m), range(m)) for m in range(1, 300)]
+    cases += [(transformation_monoid(n), product(range(n), repeat=n)) for n in range(5)]
+    for mon, values in cases:
+        for value in values:
+            x = mon.element(value)
+            m, c, inverse = reference_cycle(mon.mul, mon.identity, value)
+            assert power_cycle(x) == (m, c), (mon, value)
+            assert monoid_drazin(x) == (mon.element(inverse), m), (mon, value)
+
+
+def test_walk_memory_does_not_grow_with_its_length():
+    """2 has order 1,000,002 modulo the prime 1,000,003. The walk stores the
+    keys of x^0 .. x^20 only (20 bits in the modulus), so a million steps
+    stay within a few MB; storing every power took over 100 MB."""
+    x = int_mod_monoid(1000003).element(2)
+    tracemalloc.start()
+    try:
+        assert power_cycle(x, max_steps=10 ** 6 + 2) == (0, 1000002)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
