@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -443,13 +444,18 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         response, code = args.handler(args)
+        pretty = args.pretty
     except InternalInconsistencyError as exc:
-        _emit({"error": str(exc), "kind": "internal-inconsistency"}, False)
-        return 2
+        response, code, pretty = {"error": str(exc), "kind": "internal-inconsistency"}, 2, False
     except (DrazinError, ValueError) as exc:
-        _emit({"error": str(exc)}, False)
+        response, code, pretty = {"error": str(exc)}, 1, False
+    try:
+        _emit(response, pretty)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone: what is left, and exit's flush, go nowhere
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
-    _emit(response, args.pretty)
     return code
 
 

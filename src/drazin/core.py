@@ -1,10 +1,9 @@
 """Drazin index and inverse of a square matrix (Route A), and the axiom evaluators.
 
-One power chain: the index walk over rank(x^0), rank(x^1), ... stops at
-the first repeat holding x^k, x^{k+1} and rref(x^{k+1}), and both matrix
-routes take them from it. Route A factors x^{k+1} = L*R; the core
-beta = R*L is invertible and x^D = x^k * L * beta^{-2} * R. Invertible
-inputs short-circuit to the ordinary inverse.
+One rank chain (Cline, 1968): x = B_1*C_1 is factored from one rref, then
+each core C_j*B_j = B_{j+1}*C_{j+1}, until the first invertible core; no
+power of x is formed. The chain's length is the index k, x is nilpotent iff
+the last core is 0 x 0, and x^D = B_1...B_k * core^{-(k+1)} * C_k...C_1.
 
 One evaluator: [D.1-3] read the same for matrices, endofunctions and
 monoid elements, so they are evaluated once over one carrier (_carrier:
@@ -26,7 +25,7 @@ from .exceptions import (
     WitnessInvalidError,
 )
 from .finite import EndoFun
-from .linalg import Matrix, _factor, _invert_or_bug, invert_matrix, rref
+from .linalg import Matrix, _factor, _invert_or_bug, rref
 
 
 @dataclass(frozen=True)
@@ -42,48 +41,35 @@ def _require_square(x):
         raise NotSquareError("expected a square matrix")
 
 
-def _power_walk(x):
-    """(k, x^k, x^{k+1}, rref(x^{k+1})) at the index k of x."""
+def _rank_chain(x):
+    """(lefts, rights, core): lefts[j] * rights[j] factors the j-th core (x first),
+    and core is the first invertible one. A core is row-reduced before it is
+    factored, so an invertible one is never split."""
     _require_square(x)
-    prev = Matrix.identity(x.field, x.rows)
-    prev_rank = x.rows
-    power = x
-    k = 0
+    lefts, rights, core = [], [], x
     while True:
-        reduced = rref(power)
-        if reduced[2] == prev_rank:
-            return k, prev, power, reduced
-        prev, prev_rank = power, reduced[2]
-        power = power * x
-        k += 1
+        reduced = rref(core)
+        if reduced[2] == core.rows:
+            return lefts, rights, core
+        fact = _factor(core, reduced)
+        lefts.append(fact.left)
+        rights.append(fact.right)
+        core = fact.right * fact.left
 
 
 def drazin_index(x):
     """Least k with rank(x^k) = rank(x^{k+1}); always <= n."""
-    return _power_walk(x)[0]
+    return len(_rank_chain(x)[0])
 
 
 def drazin_inverse(x):
-    k, xk, xk1, reduced = _power_walk(x)
-    if k == 0:
-        inverse = invert_matrix(x)
-        return DrazinData(
-            inverse=inverse,
-            index=0,
-            idempotent=Matrix.identity(x.field, x.rows),
-            route="RankFactorization",
-        )
-    fact = _factor(xk1, reduced)
-    beta_inv = _invert_or_bug(
-        fact.right * fact.left, "core of x^{k+1} singular at the stabilized index"
-    )
-    inverse = xk * fact.left * beta_inv * beta_inv * fact.right
-    return DrazinData(
-        inverse=inverse,
-        index=k,
-        idempotent=x * inverse,
-        route="RankFactorization",
-    )
+    lefts, rights, core = _rank_chain(x)
+    k = len(lefts)
+    inverse = _invert_or_bug(core, "the last core of the rank chain is singular") ** (k + 1)
+    for left, right in zip(reversed(lefts), reversed(rights)):
+        inverse = left * inverse * right
+    idempotent = x * inverse if k else Matrix.identity(x.field, x.rows)
+    return DrazinData(inverse, k, idempotent, route="RankFactorization")
 
 
 def group_inverse(x):

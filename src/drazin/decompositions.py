@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import DrazinData, _power_walk, verify_drazin_data
+from .core import DrazinData, _rank_chain, _require_square, verify_drazin_data
 from .exceptions import (
     InternalInconsistencyError,
     NotIdempotentError,
@@ -31,6 +31,7 @@ from .linalg import (
     full_rank_factorization,
     hstack,
     invert_matrix,
+    rref,
     vstack,
 )
 
@@ -154,16 +155,12 @@ def core_nilpotent(x, d):
     """x = core + nilpotent_part with the three separation axioms."""
     nilpotent_part = _certified(x, d).nilpotent_part
     core = x - nilpotent_part
-    # A nilpotent matrix's index is its nilpotency degree, and its rank
-    # chain stabilizes at 0.
-    nilpotent_index, _, _, (_, _, stable_rank) = _power_walk(nilpotent_part)
-    if stable_rank != 0:
+    # A nilpotent matrix's rank chain ends at a 0 x 0 core, and its length,
+    # the index, is the nilpotency degree.
+    lefts, _, last_core = _rank_chain(nilpotent_part)
+    if last_core.rows:
         raise InternalInconsistencyError("matrix is not nilpotent")
-    return CoreNilpotent(
-        core=core,
-        nilpotent_part=nilpotent_part,
-        nilpotent_index=nilpotent_index,
-    )
+    return CoreNilpotent(core, nilpotent_part, nilpotent_index=len(lefts))
 
 
 def complement_formula_check(x, d):
@@ -203,13 +200,24 @@ def drazin_from_fitting(x, f):
     return f.change_of_basis * middle * invert_matrix(f.change_of_basis)
 
 
+def _power_walk(x):
+    """(k, x^{k+1}, rref(x^{k+1})) at the least k with rank(x^k) = rank(x^{k+1})."""
+    _require_square(x)
+    k, power, prev_rank = 0, x, x.rows
+    while True:
+        reduced = rref(power)
+        if reduced[2] == prev_rank:
+            return k, power, reduced
+        k, power, prev_rank = k + 1, power * x, reduced[2]
+
+
 def image_kernel_drazin(x):
     """Route B: split the space as im(x^{k+1}) + ker(x^{k+1}) and invert on the image.
 
     Same contract as drazin_inverse; the assembled basis is invertible at
     the stabilized index, and a singular one means a library bug.
     """
-    k, _, power, reduced = _power_walk(x)
+    k, power, reduced = _power_walk(x)
     iota = power.take_cols(reduced[1])  # image_basis(power)
     kappa = _kernel(reduced)
     psi = hstack(iota, kappa)

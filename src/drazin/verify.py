@@ -25,7 +25,7 @@ from .core import (
     _pair_failures,
     _pair_inner_failures,
     _penrose_failures,
-    _power_walk,
+    _rank_chain,
     drazin_index,
     drazin_inverse,
 )
@@ -117,7 +117,7 @@ def _check_cnd(x, core, nilpotent_part, nilpotent_index=None):
     if drazin_index(core) > 1:
         failed.append("CND.1")
     if nilpotent_index is None:
-        if _power_walk(nilpotent_part)[3][2] != 0:  # stable rank 0 iff nilpotent
+        if _rank_chain(nilpotent_part)[2].rows != 0:  # last core 0 x 0 iff nilpotent
             failed.append("CND.2")
     elif not (nilpotent_part ** nilpotent_index).is_zero():
         failed.append("CND.2")

@@ -165,18 +165,37 @@ def brute_drazin_zmod(x, modulus):
     return found
 
 
-def min_matrix_index_modp(x, p):
-    """Least k with rank(x^k) = rank(x^{k+1}), the rank-stabilization index."""
+def min_matrix_index(x, matmul, rank):
+    """Least k with rank(x^k) = rank(x^{k+1}), the rank-stabilization index,
+    for the product matmul and the rank function rank of one field."""
     n = len(x)
     power = identity_tuple(n)
     prev = n
     for k in range(n + 1):
-        nxt = modp_matmul(power, x, p)
-        if modp_rank(nxt, p) == prev:
+        power = matmul(power, x)
+        now = rank(power)
+        if now == prev:
             return k
-        power = nxt
-        prev = modp_rank(power, p)
+        prev = now
     raise AssertionError("rank chain must stabilize within n steps")
+
+
+def min_matrix_index_modp(x, p):
+    return min_matrix_index(x, lambda a, b: modp_matmul(a, b, p), lambda m: modp_rank(m, p))
+
+
+def min_matrix_index_frac(x):
+    return min_matrix_index(x, frac_matmul, frac_rank)
+
+
+def nilpotency_degree(x, matmul):
+    """Least j with x^j = 0, or None when x is not nilpotent (no j <= n works)."""
+    power = identity_tuple(len(x))
+    for j in range(len(x) + 1):
+        if not any(v for row in power for v in row):
+            return j
+        power = matmul(power, x)
+    return None
 
 
 def reference_cycle(mul, identity, x):

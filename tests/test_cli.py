@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -396,6 +397,34 @@ def test_console_script_subprocess():
     assert proc.returncode == 0, proc.stderr
     resp = json.loads(proc.stdout)
     assert resp["inverse"] == 8 and resp["index"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--matrix", "[[0,1,0],[0,0,1],[0,0,0]]"],  # fails on the write
+        ["monoid", "--modulus", "12", "--element", "2"],  # fails on the flush
+    ],
+)
+def test_closed_stdout_exits_one_without_traceback(argv):
+    """The reader of stdout is gone before the CLI writes: exit 1, empty stderr."""
+    import drazin
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drazin.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "drazin.cli"] + argv,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and proc.stderr == b""
 
 
 @pytest.mark.parametrize(

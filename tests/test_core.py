@@ -13,6 +13,7 @@ from drazin import (
     PrimeField,
     Q,
     WitnessInvalidError,
+    core_nilpotent,
     drazin_from_pi_witnesses,
     drazin_index,
     drazin_inverse,
@@ -20,7 +21,13 @@ from drazin import (
     verify_drazin_data,
 )
 
-from oracles import min_matrix_index_modp
+from oracles import (
+    frac_matmul,
+    min_matrix_index_frac,
+    min_matrix_index_modp,
+    modp_matmul,
+    nilpotency_degree,
+)
 
 F5 = PrimeField(5)
 
@@ -49,6 +56,45 @@ def test_index_matches_rank_stabilization_oracle():
         n = rng.randint(1, 4)
         m = Matrix(F5, [[rng.randrange(5) for _ in range(n)] for _ in range(n)])
         assert drazin_index(m) == min_matrix_index_modp(m.entries, 5)
+    # Over Q and F_5 up to n = 6: nilpotent Jordan blocks beside a random
+    # block, conjugated by transvections. core_nilpotent's index is the
+    # nilpotent part's degree, the least j with N^j = 0.
+    fields = (
+        (Q, min_matrix_index_frac, frac_matmul, [-2, -1, 0, 1, 2, Fraction(1, 2)]),
+        (F5, lambda m: min_matrix_index_modp(m, 5), lambda a, b: modp_matmul(a, b, 5), range(5)),
+    )
+    for field, oracle, matmul, scalars in fields:
+        for _ in range(60):
+            n = rng.randint(0, 6)
+            rows = [[0] * n for _ in range(n)]
+            start, end = 0, rng.randint(0, n)  # Jordan blocks fill [0, end)
+            while start < end:
+                size = rng.randint(1, end - start)
+                for i in range(start, start + size - 1):
+                    rows[i][i + 1] = 1
+                start += size
+            for i in range(end, n):
+                rows[i][end:] = [rng.choice(scalars) for _ in range(end, n)]
+            steps = [(i, j, rng.choice(scalars)) for i in range(n) for j in range(n) if i != j]
+            p, p_inv = _transvections(field, n, rng.sample(steps, min(len(steps), 2 * n)))
+            x = p * Matrix(field, rows, cols=n) * p_inv
+            assert drazin_index(x) == oracle(x.entries)
+            nilpotent = core_nilpotent(x, drazin_inverse(x))
+            degree = nilpotency_degree(nilpotent.nilpotent_part.entries, matmul)
+            assert nilpotent.nilpotent_index == degree
+
+
+def _transvections(field, n, steps):
+    """(P, P^{-1}) for P the product of the transvections I + c*E_ij, (i, j, c)
+    in steps, i != j; each factor's inverse is I - c*E_ij, so P^{-1} is exact."""
+    p = p_inv = Matrix.identity(field, n)
+    for i, j, c in steps:
+        rows = [[int(r == s) for s in range(n)] for r in range(n)]
+        rows[i][j] = c
+        step = Matrix(field, rows)
+        rows[i][j] = -c
+        p, p_inv = p * step, Matrix(field, rows) * p_inv
+    return p, p_inv
 
 
 def test_drazin_inverse_frozen_diagonal():
@@ -182,10 +228,8 @@ SPARSE = {
 }
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_drazin_inverse_commutes_with_transpose(data):
-    """(x^T)^D = (x^D)^T, with the same index, over Q and F_2, F_3, F_5."""
+def _sparse_square(data):
+    """(field, x): x of size 0..6 over Q or F_2, F_3, F_5, SPARSE or a product of two."""
     field = data.draw(st.sampled_from([Q, PrimeField(2), PrimeField(3), F5]))
     n = data.draw(st.integers(0, 6))
     entry = SPARSE["Q" if field is Q else "Fp"]
@@ -193,7 +237,31 @@ def test_drazin_inverse_commutes_with_transpose(data):
     def square():
         return Matrix(field, [[data.draw(entry) for _ in range(n)] for _ in range(n)])
 
-    x = square() * square() if data.draw(st.booleans()) else square()
+    return field, square() * square() if data.draw(st.booleans()) else square()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_drazin_inverse_commutes_with_transpose(data):
+    """(x^T)^D = (x^D)^T, with the same index, over Q and F_2, F_3, F_5."""
+    _, x = _sparse_square(data)
     d, dt = drazin_inverse(x), drazin_inverse(x.transpose())
     assert dt.inverse == d.inverse.transpose()
     assert dt.index == d.index
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_drazin_inverse_commutes_with_conjugation(data):
+    """(P*x*P^{-1})^D = P*x^D*P^{-1}, with the same index, over Q and F_2, F_3,
+    F_5; P is a product of transvections, so P^{-1} needs no inversion."""
+    field, x = _sparse_square(data)
+    n = x.rows
+    coeff = st.sampled_from([1, -1, 2, Fraction(1, 2)]) if field is Q else st.integers(1, field.p - 1)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    steps = data.draw(st.lists(st.tuples(st.sampled_from(pairs), coeff), max_size=2 * n)) if pairs else []
+    p, p_inv = _transvections(field, n, [(i, j, c) for (i, j), c in steps])
+    assert p * p_inv == Matrix.identity(field, n)
+    d, dp = drazin_inverse(x), drazin_inverse(p * x * p_inv)
+    assert dp.inverse == p * d.inverse * p_inv
+    assert dp.index == d.index

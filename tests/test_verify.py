@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -484,6 +485,28 @@ def test_cross_route_audit_q():
     assert payload["agree"] is True
     assert payload["routes"] == ["A", "B"]
     assert "A=B" in payload["pairwise_equal"]
+
+
+def test_cross_route_audit_sees_a_faulty_power_walk(monkeypatch):
+    """Route B's power walk made to report one index too many: route A reads
+    its own rank chain, so the audit over Q, where there is no route C,
+    reports the disagreement, and A still finds the constructed index."""
+    walk = sys.modules["drazin.decompositions"]._power_walk
+
+    def faulty(x):
+        k, *rest = walk(x)
+        return (k + 1, *rest)
+
+    for name, module in list(sys.modules.items()):
+        if name == "drazin" or name.startswith("drazin."):
+            for attr, value in list(vars(module).items()):
+                if value is walk:
+                    monkeypatch.setattr(module, attr, faulty)
+    x = q([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 3]])  # index 3
+    report = cross_route_audit(x)
+    assert report.indices["A"] == 3
+    assert report.agree is False
+    assert report.pairwise_equal[("A", "B")] is False
 
 
 @st.composite
