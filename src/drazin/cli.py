@@ -210,7 +210,7 @@ def _cmd_monoid(args):
     monoid = int_mod_monoid(args.modulus)
     x = args.element % args.modulus
     inverse, m, c = _cycle_drazin(monoid.element(x), args.max_steps)
-    report = check_monoid_axioms(monoid, x, inverse.value, cap=args.modulus)
+    report = check_monoid_axioms(monoid, x, inverse.value, cap=monoid._tail)
     response = {
         "command": "monoid",
         "modulus": args.modulus,

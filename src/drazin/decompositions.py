@@ -21,12 +21,11 @@ from .exceptions import (
     InternalInconsistencyError,
     NotIdempotentError,
     NotSquareError,
-    SingularMatrixError,
 )
 from .linalg import (
     Matrix,
+    _factor,
     _invert_or_bug,
-    _kernel,
     block_diag,
     full_rank_factorization,
     hstack,
@@ -108,13 +107,14 @@ class _DrazinContext:
 
     @cached_property
     def shifted(self):
-        """(x^{k+1}, (x^{k+1} + (I - e_x))^{-1} or None when singular)."""
+        """(x^{k+1}, (x^{k+1} + (I - e_x))^{-1}).
+
+        [D.1] at k, [D.2] and [D.3] make (x^D)^{k+1} + (I - e_x) that inverse,
+        so a singular sum means a library bug.
+        """
         power = self.power * self.x
         comp = Matrix.identity(self.x.field, self.x.rows) - self.e
-        try:
-            return power, invert_matrix(power + comp)
-        except SingularMatrixError:
-            return power, None
+        return power, _invert_or_bug(power + comp, "x^{k+1} + (I - e_x) is singular")
 
 
 def _certified(x, d):
@@ -167,7 +167,7 @@ def complement_formula_check(x, d):
     """Does x^D = x^k * (x^{k+1} + (I - e_x))^{-1}, in both orders?"""
     ctx = _certified(x, d)
     xk, (_, inv) = ctx.power, ctx.shifted
-    return inv is not None and d.inverse == xk * inv and d.inverse == inv * xk
+    return d.inverse == xk * inv and d.inverse == inv * xk
 
 
 def fitting_decomposition(x, d):
@@ -212,22 +212,17 @@ def _power_walk(x):
 
 
 def image_kernel_drazin(x):
-    """Route B: split the space as im(x^{k+1}) + ker(x^{k+1}) and invert on the image.
+    """Route B: x^D = B*(C*x*B)^{-1}*C from x^{k+1} = B*C at the stabilized index.
 
-    Same contract as drazin_inverse; the assembled basis is invertible at
-    the stabilized index, and a singular one means a library bug.
+    im B and ker C split the space as im(x^{k+1}) + ker(x^{k+1}); (C*B)^{-1}*C
+    projects onto im B along ker C, and x induces (C*B)^{-1}*C*x*B on im B, so
+    x^D = B*((C*B)^{-1}*C*x*B)^{-1}*(C*B)^{-1}*C. Same contract as
+    drazin_inverse; a singular C*x*B means a library bug.
     """
     k, power, reduced = _power_walk(x)
-    iota = power.take_cols(reduced[1])  # image_basis(power)
-    kappa = _kernel(reduced)
-    psi = hstack(iota, kappa)
-    phi = _invert_or_bug(psi, "image and kernel of x^{k+1} do not span at the stabilized index")
-    r = iota.cols
-    phi_top = phi.take_rows(range(r))
-    alpha = phi_top * x * iota
-    alpha_inv = _invert_or_bug(alpha, "x is singular on the stabilized image")
-    # psi * diag(alpha^{-1}, 0) * phi with the zero block multiplied out.
-    inverse = iota * alpha_inv * phi_top
+    fact = _factor(power, reduced)
+    b, c = fact.left, fact.right
+    inverse = b * _invert_or_bug(c * x * b, "x is singular on the stabilized image") * c
     return DrazinData(
         inverse=inverse, index=k, idempotent=x * inverse, route="ImageKernel"
     )
@@ -266,9 +261,9 @@ def eventuating_family(x, d, N=None):
 def munn_power_iso_check(x, d):
     """Is x^{k+1} an isomorphism on the retract of e_x?
 
-    Concretely: e_x absorbs x^{k+1} on both sides and x^{k+1} + (I - e_x)
-    is invertible.
+    Concretely: e_x absorbs x^{k+1} on both sides, and x^{k+1} + (I - e_x)
+    is invertible (the context inverts it or raises).
     """
-    power, inv = _certified(x, d).shifted
+    power, _ = _certified(x, d).shifted
     e = d.idempotent
-    return e * power == power and power * e == power and inv is not None
+    return e * power == power and power * e == power

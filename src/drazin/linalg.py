@@ -420,12 +420,7 @@ def kernel_basis(m):
     free column (free entry set to one, pivot entries filled from the
     reduced rows, ordered by ascending free column index).
     """
-    return _kernel(rref(m))
-
-
-def _kernel(triple):
-    """kernel_basis read off a finished rref triple."""
-    reduced, pivots, rk = triple
+    reduced, pivots, rk = rref(m)
     field, n, den = reduced.field, reduced.cols, reduced._den
     free = sorted(set(range(n)).difference(pivots))
     # for the i-th pivot pc, row pc is minus row i of R at the free columns;

@@ -9,7 +9,6 @@ InternalInconsistencyError.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,8 +27,6 @@ from .exceptions import (
     ShapeMismatchError,
 )
 from .linalg import Matrix, _factor, _invert_or_bug, rank, rref
-
-logger = logging.getLogger("drazin.pairs")
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,8 @@ def pair_drazin(pair):
             raise InternalInconsistencyError(
                 "one-sided pair indices differ by more than one"
             )
-        logger.info("one-sided pair indices differ: %d vs %d", k1, k2)
+        import logging  # here, so that importing drazin does not load logging
+        logging.getLogger("drazin.pairs").info("one-sided pair indices differ: %d vs %d", k1, k2)
     return PairDrazinData(
         g_over_f=g_over_f,
         f_over_g=f_over_g,

@@ -194,6 +194,47 @@ def test_monoid_walks_the_power_cycle_once(capsys, monkeypatch):
     assert len(walks) == 1
 
 
+def test_monoid_certifier_is_bounded_by_the_tail(capsys, monkeypatch):
+    """A wrong answer is certified in about 2 * (tail bound + 1) products, the
+    tail bound of Z/1000003 being its bit length 20, not in modulus steps."""
+    import drazin.cli as cli
+
+    real_cycle, real_check = cli._cycle_drazin, cli.check_monoid_axioms
+    products = []
+
+    def off_by_one(x, max_steps):
+        inverse, m, c = real_cycle(x, max_steps)
+        return x.monoid.element((inverse.value + 1) % 1000003), m, c
+
+    def counting(monoid, x, inverse, cap):
+        mul = monoid.mul
+
+        def counted(a, b):
+            products.append(1)
+            return mul(a, b)
+
+        monoid.mul = counted
+        return real_check(monoid, x, inverse, cap)
+
+    monkeypatch.setattr(cli, "_cycle_drazin", off_by_one)
+    monkeypatch.setattr(cli, "check_monoid_axioms", counting)
+    code, resp = run_json(capsys, ["monoid", "--modulus", "1000003", "--element", "1000002"])
+    assert code == 2
+    assert resp["inverse"] == 0 and "D.1" in resp["axioms"]["failed_axioms"]
+    assert len(products) <= 2 * (20 + 1) + 4
+
+
+def test_import_leaves_logging_out():
+    """The one log record is rare, so importing the CLI does not load logging."""
+    import drazin
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drazin.__file__)))
+    code = "import sys, drazin.cli; print('logging' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_monoid_default_step_limit(capsys):
     import drazin.finite as finite
 

@@ -178,6 +178,9 @@ def test_pi_witnesses_rejected_when_equations_fail():
         drazin_from_pi_witnesses(x, ident, 1, ident, 1)
     with pytest.raises(WitnessInvalidError):
         drazin_from_pi_witnesses(x, ident, 0, ident, 0)
+    # y = 0 passes for p = 2 (y*x^3 = 0 = x^2); z = I fails for q = 1 (x^2*z = 0 != x)
+    with pytest.raises(WitnessInvalidError, match=r"x\^\{q\+1\}\*z"):
+        drazin_from_pi_witnesses(x, Matrix.zeros(Q, 2, 2), 2, ident, 1)
     with pytest.raises(ValueError):
         drazin_from_pi_witnesses(x, ident, -1, ident, 1)
 
@@ -211,6 +214,10 @@ def test_verify_drazin_data_rejects_tampering():
         verify_drazin_data(x, wrong_idem)
     with pytest.raises(ValueError):
         verify_drazin_data(x, "not data")
+    with pytest.raises(ValueError, match="shape or field"):
+        verify_drazin_data(Matrix(F5, [[2, 0], [0, 0]]), d)
+    with pytest.raises(ValueError, match="shape or field"):
+        verify_drazin_data(Matrix.zeros(Q, 3, 3), d)
 
 
 def test_drazin_data_is_frozen():

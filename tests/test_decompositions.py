@@ -27,6 +27,8 @@ from drazin import (
     verify_drazin_data,
 )
 
+from test_core import _sparse_square
+
 F5 = PrimeField(5)
 
 
@@ -201,6 +203,23 @@ def test_complement_and_munn_hold():
         d = drazin_inverse(x)
         assert complement_formula_check(x, d)
         assert munn_power_iso_check(x, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans())
+def test_shifted_sum_is_inverted_by_the_drazin_power(data, raise_index):
+    """(x^{k+1} + (I - e_x))^{-1} = (x^D)^{k+1} + (I - e_x) for a bundle that
+    verifies at k: the computed index, or one more. So the sum the complement
+    formula and the Munn check invert is never singular."""
+    _, x = _sparse_square(data)
+    d = drazin_inverse(x)
+    if raise_index:
+        d = dataclasses.replace(d, index=d.index + 1)
+    verify_drazin_data(x, d)
+    k = d.index
+    comp = Matrix.identity(x.field, x.rows) - d.idempotent
+    assert invert_matrix(x ** (k + 1) + comp) == d.inverse ** (k + 1) + comp
+    assert complement_formula_check(x, d) and munn_power_iso_check(x, d)
 
 
 # -- the certified context: one validation per (x, d) --------------------------

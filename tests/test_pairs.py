@@ -265,3 +265,14 @@ def test_verify_pair_data_accepts_fresh_and_rejects_tampering():
     for bad, reason in stale:
         with pytest.raises(ValueError, match=reason):
             verify_pair_data(pair, bad)
+
+
+def test_differing_one_sided_indices_are_logged(caplog):
+    # f*g = [[0,1],[0,0]] has index 2 and g*f = [[0]] index 1.
+    f, g = q([[1], [0]]), q([[0, 1]])
+    with caplog.at_level("INFO", logger="drazin.pairs"):
+        data = pair_drazin(OpposingPair(f, g))
+    assert data.index == 2
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("drazin.pairs", "one-sided pair indices differ: 2 vs 1")
+    ]

@@ -1,0 +1,53 @@
+"""The traced benchmark (bench/trace_layers.py) still finds what it patches.
+
+Tracer rebinds functions and methods by name, so a refactor that renames or
+moves one of them breaks `bench/run.py --trace 1`; this runs the tracer on
+the library as it is, without editing the benchmark.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import drazin
+from drazin import Matrix, PrimeField, Q, cross_route_audit, image_kernel_drazin
+from drazin.fields import Rationals
+from drazin.finite import EndoFun
+
+BENCH = Path(__file__).resolve().parent.parent / "bench" / "trace_layers.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("trace_layers", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _snapshot(owners):
+    """Every attribute each owner resolves, inherited ones included: the tracer
+    patches Rationals.dot and PrimeField.dot, which both inherit Field.dot."""
+    return {owner: {name: inspect.getattr_static(owner, name) for name in dir(owner)} for owner in owners}
+
+
+def test_tracer_installs_counts_and_removes_cleanly():
+    trace_layers = _load_tracer()
+    import drazin.cli  # noqa: F401  the tracer patches the CLI module too
+
+    modules = [drazin] + [getattr(drazin, name) for name in trace_layers.MODULES]
+    owners = modules + [Matrix, Rationals, PrimeField, EndoFun]
+    before = _snapshot(owners)
+    tracer = trace_layers.Tracer(drazin)
+    tracer.install()
+    try:
+        assert cross_route_audit(Matrix(PrimeField(5), [[1, 2, 0], [0, 0, 1], [0, 0, 0]])).agree
+        image_kernel_drazin(Matrix(Q, [[2, 1], [0, 0]]))
+    finally:
+        tracer.remove()
+    assert tracer.calls["decompositions.image_kernel_drazin"] >= 1
+    assert tracer.walk_steps > 0
+    after = _snapshot(owners)
+    for owner, attrs in before.items():
+        assert set(after[owner]) == set(attrs), owner
+        changed = [name for name, value in attrs.items() if after[owner][name] is not value]
+        assert changed == [], (owner, changed)

@@ -16,6 +16,7 @@ from drazin import (
     EnumerationTooLargeError,
     InternalInconsistencyError,
     Matrix,
+    NotSquareError,
     OpposingPair,
     PrimeField,
     Q,
@@ -303,6 +304,22 @@ def test_check_cnd_on_computed_decomposition():
     assert "CND.2" in swapped.failed_axioms
 
 
+def test_check_cnd_flags_each_tag_alone():
+    """Each of CND.2 (with the index given), CND.3 and CND.4 fires on its own."""
+    zero = q([[0, 0], [0, 0]])
+    shift = q([[0, 1], [0, 0]])
+    cases = {
+        # shift^1 != 0, so the recorded nilpotency index is too small
+        "CND.2": dict(x=shift, core=zero, nilpotent_part=shift, nilpotent_index=1),
+        # core * nilpotent_part = shift != 0, though the two sum to x
+        "CND.3": dict(x=q([[1, 1], [0, 0]]), core=q([[1, 0], [0, 0]]), nilpotent_part=shift, nilpotent_index=2),
+        # 0 + 0 != I
+        "CND.4": dict(x=Matrix.identity(Q, 2), core=zero, nilpotent_part=zero, nilpotent_index=1),
+    }
+    for tag, subject in cases.items():
+        assert check_axioms("CND", **subject).failed_axioms == (tag,)
+
+
 def test_check_ev_on_computed_family():
     d = drazin_inverse(MIXED)
     fam = eventuating_family(MIXED, d)
@@ -445,6 +462,11 @@ def test_monoid_cycle_route_matches_rank_route():
 def test_monoid_cycle_route_rejects_q():
     with pytest.raises(ValueError):
         monoid_cycle_drazin(q([[1]]))
+
+
+def test_monoid_cycle_route_rejects_non_square():
+    with pytest.raises(NotSquareError):
+        monoid_cycle_drazin(Matrix(F5, [[1, 2]]))
 
 
 def test_monoid_cycle_route_budget():
