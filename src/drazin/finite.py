@@ -5,10 +5,20 @@ An endofunction stabilizes: the image chain im(f) ⊇ im(f²) ⊇ ... becomes
 constant at some k and f permutes the stable set, so inverting there and
 pushing through f^k gives the Drazin inverse. A finite-monoid element
 repeats a power, x^m = x^{m+c}, and x^D = x^j for the one j in [m, m+c)
-with c | j + 1. The walk to that first repeat stores the keys of x^0 ..
-x^T only, T a bound on the tail m, so its memory does not grow with it.
-Its length is bounded by max_steps when given, else by the monoid size
-capped at _WALK_LIMIT; past it the walk raises CycleNotFoundError.
+with c | j + 1. The search for that first repeat has two steps, T a bound
+on the tail m:
+
+- a linear prefix of T + _PREFIX steps looks each power up among the keys
+  of x^0 .. x^T, which is where most cycles close;
+- past it, y = x^T lies on the cycle, so c is the first j with y·x^j = y.
+  Blocks of consecutive powers, starting with the prefix's last _PREFIX
+  and doubling up to _BLOCK, are multiplied at once and compared with y
+  only, and m is the least k <= T with x^k·x^c = x^k.
+
+Neither step holds more than about T + _PREFIX + 2·_BLOCK powers at a
+time, so memory does not grow with the cycle. The search covers
+m + c <= max_steps when max_steps is given, else the monoid size capped
+at _WALK_LIMIT; past it it raises CycleNotFoundError.
 """
 
 from __future__ import annotations
@@ -23,6 +33,13 @@ from .exceptions import CycleNotFoundError, ParseError
 # size (p^(n^2) for matrices) bounds nothing in practice. A walk's memory is
 # bounded by the monoid's tail bound, not by its length.
 _WALK_LIMIT = 10 ** 6
+
+# Steps past the tail bound that the walk takes one power at a time, and the
+# most powers one block of the anchored search multiplies. Set by measuring
+# fp-audit: with no prefix, blocks slowed the short cycles that most answers
+# have; a larger block raised the peak memory and gained no speed.
+_PREFIX = 32
+_BLOCK = 128
 
 
 def _power(x, k, mul, one):
@@ -146,6 +163,25 @@ class Monoid:
     def eq(self, a, b):
         return self.key(a) == self.key(b)
 
+    def _block(self, powers, step, anchor, grow):
+        """One block of the anchored search in _first_repeat, element by element.
+
+        Returns (block, offset): offset indexes the first of the products
+        z·step, z in powers, equal to anchor, or is None; block is those
+        products, after powers when grow is true. The products stop at the
+        first hit, after which the search needs no block. fp_matrix_monoid
+        sets a numpy version on its instance.
+        """
+        mul, key = self.mul, self.key
+        goal = key(anchor)
+        products = []
+        for z in powers:
+            product = mul(z, step)
+            if key(product) == goal:
+                return products, len(products)
+            products.append(product)
+        return (powers + products if grow else products), None
+
     def element(self, value):
         return MonoidElement(value, self)
 
@@ -164,38 +200,71 @@ class MonoidElement:
 
 
 def _first_repeat(mon, x, max_steps):
-    """Walk x^0, x^1, ... to its first repeat x^{m+c} = x^m, keyed by mon.key.
+    """Find the first repeat x^{m+c} = x^m among the powers of x, keyed by mon.key.
 
     Returns (kept, m, c): m is the tail length, c the cycle length, and kept
-    maps e to x^e for e <= T and for e = m + c - 1. Past x^T the walk only
-    looks keys up; the first hit is still x^{m+c}, since m <= T. T is the
-    monoid's tail bound, or the budget when it sets none.
+    maps e to x^e for every e the linear prefix reached, and for e = c - 1
+    when the repeat is found past it. T is the monoid's tail
+    bound, or the budget when it sets none, which leaves the prefix the
+    whole walk. The prefix looks keys up among those of x^0 .. x^T only;
+    the first hit is still x^{m+c}, since m <= T.
     """
     if max_steps is None:
         if mon.size is None:
             raise ValueError("max_steps required for a monoid of unknown size")
         max_steps = min(mon.size, _WALK_LIMIT)
     tail = max_steps if mon._tail is None else mon._tail
+    prefix = min(max_steps, tail + _PREFIX)
     key = mon.key
     power = mon.identity
     kept = {0: power}
     seen = {key(power): 0}
-    for step in range(1, max_steps + 1):
-        nxt = mon.mul(power, x)
-        k = key(nxt)
+    for step in range(1, prefix + 1):
+        power = kept[step] = mon.mul(power, x)
+        k = key(power)
         m = seen.get(k)
         if m is not None:
-            kept[step - 1] = power
             return kept, m, step - m
         if step <= tail:
             seen[k] = step
-            kept[step] = nxt
-        power = nxt
+    if prefix < max_steps:
+        # The prefix ends with x^T·x^1 .. x^T·x^_PREFIX; x^_PREFIX moves them on.
+        block = [kept[e] for e in range(tail + 1, prefix + 1)]
+        c = _anchored_cycle(mon, block, kept[_PREFIX], kept[tail], max_steps)
+        if c is not None:
+            if c - 1 not in kept:  # kept holds every power up to the prefix's end
+                q, r = divmod(c - 1, prefix)
+                kept[c - 1] = mon.mul(_power(kept[prefix], q, mon.mul, lambda: mon.identity), kept[r])
+            x_c = mon.mul(kept[c - 1], x)
+            m = next(k for k in range(tail + 1) if key(mon.mul(kept[k], x_c)) == key(kept[k]))
+            if m + c <= max_steps:
+                return kept, m, c
     # A numpy matrix (fp_matrix_monoid) is named by its rows, on one line.
     shown = x.tolist() if hasattr(x, "tolist") else x
     raise CycleNotFoundError(
         "no repeated power of %r within %d steps" % (shown, max_steps)
     )
+
+
+def _anchored_cycle(mon, block, step, anchor, max_steps):
+    """The least c with anchor·x^c = anchor, or None if c > max_steps.
+
+    block holds anchor·x^1 .. anchor·x^w, none of them anchor, and step is
+    x^w. Each _block call moves the block on by its width, so it always
+    holds the powers anchor·x^i for the last width exponents i up to j;
+    the width doubles up to _BLOCK, then the block slides.
+    """
+    j = width = len(block)
+    while j < max_steps:
+        grow = width < _BLOCK
+        block, offset = mon._block(block, step, anchor, grow)
+        if offset is not None:
+            return j + 1 + offset
+        j += width
+        if grow:
+            step = mon.mul(step, step)
+            width *= 2
+    return None
 
 
 def power_cycle(x, max_steps=None):
@@ -254,9 +323,12 @@ def fp_matrix_monoid(p, n):
     """n x n matrices over F_p as int64 numpy arrays.
 
     Exists for the Route C matrix walk: power cycles in GL(n, p) reach
-    thousands of steps, so the walk multiplies numpy arrays and keys the
-    table by raw bytes. An entry of a product sums n terms below (p-1)^2
-    before the reduction, so n*(p-1)^2 must stay below 2^63.
+    thousands of steps, so the walk multiplies numpy arrays and keys its
+    linear prefix by raw bytes. Past the prefix, one block of up to _BLOCK
+    consecutive powers is a (b, n, n) array: one broadcast product moves it
+    on and one comparison finds x^T in it, so memory stays constant however
+    long the cycle. An entry of a product sums n terms below (p-1)^2 before
+    the reduction, so n*(p-1)^2 must stay below 2^63.
     """
     if n * (p - 1) ** 2 >= 2 ** 63:
         raise ValueError(
@@ -273,4 +345,15 @@ def fp_matrix_monoid(p, n):
         size=p ** (n * n),
     )
     monoid._tail = n  # the index of an n x n matrix
+
+    def block(powers, step, anchor, grow):
+        products = np.matmul(powers, step) % p  # powers: (b, n, n), or a list of b arrays
+        equal = (products == anchor).all(axis=(1, 2))
+        offset = int(equal.argmax())
+        return (
+            np.concatenate((powers, products)) if grow else products,
+            offset if equal[offset] else None,
+        )
+
+    monoid._block = block
     return monoid

@@ -226,9 +226,10 @@ def monoid_cycle_drazin(x, max_steps=None):
     monoid = fp_matrix_monoid(x.field.p, x.rows)
     import numpy as np  # loaded by fp_matrix_monoid; kept out of module import
 
-    start = np.array(x.entries, dtype=np.int64).reshape(x.rows, x.cols)
+    start = np.array(x._ints, dtype=np.int64).reshape(x.rows, x.cols)
     element, index = monoid_drazin(monoid.element(start), max_steps)
-    inverse = Matrix(x.field, element.value.tolist())
+    # Every power is reduced mod p already, so no entry needs coercing.
+    inverse = Matrix._raw(x.field, tuple(map(tuple, element.value.tolist())), x.cols)
     return DrazinData(
         inverse=inverse, index=index, idempotent=x * inverse, route="MonoidCycle"
     )

@@ -26,7 +26,7 @@ from drazin import (
     transformation_monoid,
 )
 
-from oracles import brute_drazin_endo, brute_drazin_zmod, compose, reference_cycle
+from oracles import brute_drazin_endo, brute_drazin_zmod, compose, modp_matmul, reference_cycle
 
 
 def test_endofun_basics():
@@ -310,3 +310,94 @@ def test_walk_memory_does_not_grow_with_its_length():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak
+
+
+def _companion(p, coeffs):
+    """The companion matrix over F_p of t^n - (c_0 + c_1 t + ... + c_{n-1} t^{n-1})."""
+    n = len(coeffs)
+    return [[int(j == i - 1) for j in range(n - 1)] + [coeffs[i] % p] for i in range(n)]
+
+
+# t^6 - 2t^5 - 2 over F_5 and t^6 - 2t^5 - 3t^4 - 2 over F_7 are primitive, so
+# their companion matrices have order p^6 - 1: c = 15,624 and c = 117,648.
+PRIMITIVE_F5 = _companion(5, (2, 0, 0, 0, 0, 2))
+PRIMITIVE_F7 = _companion(7, (2, 0, 0, 0, 3, 2))
+
+
+def _tail_and_cycle(n, m, c):
+    """(p, rows): the n x n matrix diag(J_m, g, 1, ..., 1) over the least F_p
+    with an element g of order c. J_m is the nilpotent Jordan block, so the
+    powers have tail m and cycle c; m = n gives J_n alone."""
+    p = next(q for q in range(c + 1, 10 ** 6, c) if all(q % d for d in range(2, int(q ** 0.5) + 1)))
+    g = next(
+        g for g in (pow(a, (p - 1) // c, p) for a in range(1, p))
+        if len({pow(g, e, p) for e in range(c)}) == c
+    )
+    rows = [[int(j == i + 1 < m or i == j > m) for j in range(n)] for i in range(n)]
+    if m < n:
+        rows[m][m] = g
+    return p, rows
+
+
+def _agrees_with_reference(p, rows):
+    import numpy as np
+
+    n = len(rows)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    m, c, inverse = reference_cycle(
+        lambda a, b: modp_matmul(a, b, p), identity, tuple(map(tuple, rows))
+    )
+    x = fp_matrix_monoid(p, n).element(np.array(rows, dtype=np.int64))
+    assert power_cycle(x) == (m, c), (p, rows)
+    d, index = monoid_drazin(x)
+    assert index == m and d.value.tolist() == [list(row) for row in inverse], (p, rows)
+    return m, c
+
+
+def test_matrix_walk_agrees_with_the_reference_on_every_branch():
+    """(m, c, x^D) against the oracle's plain walk on 6 x 6 matrices, whose
+    tail bound is T = 6. The linear prefix covers m + c <= T + 32; past it
+    the anchored search finds c in blocks of 33-64, 65-128 and 129-256
+    relative to x^T, doubling to 128 powers, then sliding by 128: 257-384,
+    385-512, ... up to c = 15,624. Tails run over m = 0 .. 6."""
+    shapes = [(m, 6 + 32 + k - m) for m in (0, 3, 5) for k in (-1, 0, 1)]
+    edges = (34, 64, 65, 128, 129, 256, 257, 384, 385, 1000)
+    shapes += [(5 - i % 6, c) for i, c in enumerate(edges)]
+    shapes += [(m, 1) for m in range(1, 7)]
+    for m, c in shapes:
+        assert _agrees_with_reference(*_tail_and_cycle(6, m, c)) == (m, c)
+    assert _agrees_with_reference(5, PRIMITIVE_F5) == (0, 15624)
+
+
+def test_matrix_walk_budget_counts_tail_and_cycle():
+    """Past the linear prefix the budget still bounds m + c, as on it: for
+    diag(J_2, PRIMITIVE_F5), and for a cycle of 257 that ends one past the
+    block 129-256."""
+    import numpy as np
+
+    rows = [[int(j == i + 1 < 2) for j in range(8)] for i in range(8)]
+    for i in range(6):
+        rows[2 + i][2:] = PRIMITIVE_F5[i]
+    cases = [(5, rows, 2, 15624), _tail_and_cycle(6, 0, 257) + (0, 257)]
+    for p, rows, m, c in cases:
+        x = fp_matrix_monoid(p, len(rows)).element(np.array(rows, dtype=np.int64))
+        assert power_cycle(x, max_steps=m + c) == (m, c)
+        for budget in (m + c - 1, 100):
+            with pytest.raises(CycleNotFoundError, match="within %d steps" % budget):
+                power_cycle(x, max_steps=budget)
+
+
+def test_matrix_walk_memory_does_not_grow_with_the_cycle():
+    """A cycle of 117,648 powers of a 6 x 6 matrix is searched in blocks of
+    at most 128 powers, so the peak stays far below the 117,648 x 288 bytes
+    that keeping every power would take."""
+    import numpy as np
+
+    x = fp_matrix_monoid(7, 6).element(np.array(PRIMITIVE_F7, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        assert power_cycle(x) == (0, 117648)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak

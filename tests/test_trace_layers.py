@@ -51,3 +51,18 @@ def test_tracer_installs_counts_and_removes_cleanly():
         assert set(after[owner]) == set(attrs), owner
         changed = [name for name, value in attrs.items() if after[owner][name] is not value]
         assert changed == [], (owner, changed)
+
+
+def test_walk_steps_count_tail_and_cycle_past_the_linear_prefix():
+    """finite.walk_steps adds m + c per walk, also when the cycle is found by
+    the anchored block search: this companion matrix of the primitive
+    t^6 - 2t^5 - 2 over F_5 has m = 0 and c = 5^6 - 1."""
+    trace_layers = _load_tracer()
+    rows = [[int(j == i - 1) for j in range(5)] + [2 * (i in (0, 5))] for i in range(6)]
+    tracer = trace_layers.Tracer(drazin)
+    tracer.install()
+    try:
+        assert cross_route_audit(Matrix(PrimeField(5), rows)).agree
+    finally:
+        tracer.remove()
+    assert tracer.walk_steps == 15624
