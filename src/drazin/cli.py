@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .core import drazin_inverse
 from .decompositions import (
+    _certified,
     complement_formula_check,
     core_nilpotent,
     eventuating_family,
@@ -228,6 +229,10 @@ def _cmd_decompose(args):
         raise ValueError("--window %d is over the limit %d" % (args.window, _WINDOW_LIMIT))
     field, x = _inputs(args, "matrix")
     d = drazin_inverse(x)
+    try:
+        _certified(x, d)
+    except ValueError as exc:  # d is route A's own answer, so a stale bundle is a bug
+        raise InternalInconsistencyError("route A's answer fails revalidation: %s" % exc) from exc
     cn = core_nilpotent(x, d)
     fit = fitting_decomposition(x, d)
     alpha = splitting_iso(x, d)
@@ -272,10 +277,7 @@ def _cmd_decompose(args):
             "EV": report_ev.to_json(),
         },
     }
-    code = _response_code(
-        report_d, report_cnd, report_ev, extra_checks=[complement_ok, munn_ok]
-    )
-    return response, code
+    return response, _response_code(report_d, report_cnd, report_ev)
 
 
 def _cmd_verify(args):

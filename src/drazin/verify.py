@@ -10,6 +10,7 @@ cross_route_audit runs every applicable route on one matrix and compares.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -213,6 +214,13 @@ def all_matrices(field, rows, cols, scalars=None):
         yield Matrix(field, entries)
 
 
+@functools.lru_cache(maxsize=64)
+def _matrix_monoid(p, n):
+    """One fp_matrix_monoid per (p, n): route C walks many matrices of one shape,
+    and the walk leaves its monoid unchanged."""
+    return fp_matrix_monoid(p, n)
+
+
 def monoid_cycle_drazin(x, max_steps=None):
     """Route C: the power-cycle walk in the monoid of matrices over F_p.
 
@@ -223,7 +231,7 @@ def monoid_cycle_drazin(x, max_steps=None):
         raise ValueError("the power-cycle route needs a finite field")
     if not x.is_square:
         raise NotSquareError("Drazin inverses need a square matrix")
-    monoid = fp_matrix_monoid(x.field.p, x.rows)
+    monoid = _matrix_monoid(x.field.p, x.rows)
     import numpy as np  # loaded by fp_matrix_monoid; kept out of module import
 
     start = np.array(x._ints, dtype=np.int64).reshape(x.rows, x.cols)

@@ -424,6 +424,45 @@ def test_internal_inconsistency_exit_two(capsys, monkeypatch):
     assert resp["kind"] == "internal-inconsistency"
 
 
+def test_decompose_of_a_wrong_library_answer_exits_two(capsys, monkeypatch):
+    """decompose revalidates route A's own answer; a stale one is a bug, not a
+    user error, so the call exits 2, as drazin does on the same input."""
+    import dataclasses
+
+    import drazin.cli as cli_mod
+
+    real = cli_mod.drazin_inverse
+
+    def doubled(x):
+        d = real(x)
+        return dataclasses.replace(d, inverse=d.inverse + d.inverse)
+
+    monkeypatch.setattr(cli_mod, "drazin_inverse", doubled)
+    argv = ["--matrix", "[[2,0,0],[0,0,1],[0,0,0]]"]
+    code, resp = run_json(capsys, ["decompose"] + argv)
+    assert code == 2
+    assert resp["kind"] == "internal-inconsistency"
+    assert "[D.1]" in resp["error"]
+    code, _ = run_json(capsys, ["drazin"] + argv)
+    assert code == 2
+
+
+def test_decompose_with_a_wrong_splitting_exits_two(capsys, monkeypatch):
+    """A factorization of e_x with R*L = I but L*R != e_x is caught by
+    split_idempotent, and nothing built on it reaches the answer."""
+    import drazin.decompositions as decompositions
+    from drazin import Matrix, Q, RankFactorization
+
+    def wrong(e):
+        left, right = Matrix(Q, [[1], [1]]), Matrix(Q, [[1, 0]])
+        return RankFactorization(left=left, right=right, rank=1)
+
+    monkeypatch.setattr(decompositions, "full_rank_factorization", wrong)
+    code, resp = run_json(capsys, ["decompose", "--matrix", "[[1,0],[0,0]]"])
+    assert code == 2
+    assert resp["kind"] == "internal-inconsistency"
+
+
 def test_console_script_subprocess():
     exe = shutil.which("drazin")
     if exe:

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drazin import (
+    InternalInconsistencyError,
     Matrix,
     NotIdempotentError,
     NotSquareError,
     PrimeField,
     Q,
+    RankFactorization,
+    block_diag,
     complement_formula_check,
     core_nilpotent,
     drazin_from_fitting,
@@ -25,6 +28,7 @@ from drazin import (
     split_idempotent,
     splitting_iso,
     verify_drazin_data,
+    vstack,
 )
 
 from test_core import _sparse_square
@@ -68,6 +72,19 @@ def test_split_rejects_non_idempotent():
         split_idempotent(q([[1, 1], [0, 1]]))
     with pytest.raises(NotSquareError):
         split_idempotent(q([[1, 0]]))
+
+
+def test_split_refuses_a_factorization_that_does_not_reproduce_e(monkeypatch):
+    """R*L = I alone is not a splitting: L*R must also be e. Everything built
+    on the splitting (alpha, the Fitting blocks) relies on both halves."""
+    import drazin.decompositions as decompositions
+
+    def wrong(e):  # R*L = [[1]], but L*R = [[1, 0], [1, 0]] != diag(1, 0)
+        return RankFactorization(left=q([[1], [1]]), right=q([[1, 0]]), rank=1)
+
+    monkeypatch.setattr(decompositions, "full_rank_factorization", wrong)
+    with pytest.raises(InternalInconsistencyError):
+        split_idempotent(q([[1, 0], [0, 0]]))
 
 
 def test_splitting_iso_frozen():
@@ -210,16 +227,48 @@ def test_complement_and_munn_hold():
 def test_shifted_sum_is_inverted_by_the_drazin_power(data, raise_index):
     """(x^{k+1} + (I - e_x))^{-1} = (x^D)^{k+1} + (I - e_x) for a bundle that
     verifies at k: the computed index, or one more. So the sum the complement
-    formula and the Munn check invert is never singular."""
+    formula and the Munn check invert is never singular.
+
+    The entries check none of the identities below, since [D.1-3] and the
+    splittings prove them; this checks each one directly."""
     _, x = _sparse_square(data)
     d = drazin_inverse(x)
     if raise_index:
         d = dataclasses.replace(d, index=d.index + 1)
     verify_drazin_data(x, d)
-    k = d.index
-    comp = Matrix.identity(x.field, x.rows) - d.idempotent
-    assert invert_matrix(x ** (k + 1) + comp) == d.inverse ** (k + 1) + comp
+    k, xd, e = d.index, d.inverse, d.idempotent
+    n = x.rows
+    eye = Matrix.identity(x.field, n)
+    comp = eye - e
+    xk = x ** k
+    xk1 = xk * x
+    inv = invert_matrix(xk1 + comp)
+    assert inv == xd ** (k + 1) + comp
     assert complement_formula_check(x, d) and munn_power_iso_check(x, d)
+    # The complement formula, in both orders, and Munn absorption.
+    assert xk * inv == xd and inv * xk == xd
+    assert e * xk1 == xk1 and xk1 * e == xk1
+    # The splitting iso: r*x^D*s inverts alpha, both squares commute, and
+    # x^k factors through the retract.
+    sp = split_idempotent(e)
+    r, s = sp.retraction, sp.section
+    alpha = splitting_iso(x, d)
+    one = Matrix.identity(x.field, sp.through_dim)
+    alpha_inv = r * xd * s
+    assert alpha * alpha_inv == one and alpha_inv * alpha == one
+    assert r * x == alpha * r and x * s == s * alpha
+    assert e * xk == xk and xk * e == xk
+    # The Fitting similarity: the stacked retractions invert p, and the
+    # blocks reassemble x.
+    fit = fitting_decomposition(x, d)
+    sp_c = split_idempotent(comp)
+    p_inv = vstack(r, sp_c.retraction)
+    assert fit.change_of_basis * p_inv == eye
+    assert fit.change_of_basis * block_diag(fit.invertible_block, fit.nilpotent_block) * p_inv == x
+    # The nilpotent part vanishes at the k-th power (it is 0 when k = 0).
+    cn = core_nilpotent(x, d)
+    assert (cn.nilpotent_part ** max(k, 1)).is_zero()
+    assert cn.nilpotent_index <= max(k, 1)
 
 
 # -- the certified context: one validation per (x, d) --------------------------

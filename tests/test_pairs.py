@@ -94,6 +94,11 @@ def test_pair_axioms_on_random_pairs():
         assert f * u == v * g and u * f == g * v
         assert d.idem_fg * d.idem_fg == d.idem_fg
         assert d.idem_gf * d.idem_gf == d.idem_gf
+        # check_pair_group answers from the index alone: [DV.1-3] at index
+        # at most 1 imply the group absorption [GV.1].
+        assert check_pair_group(pair, d) == (d.index <= 1)
+        if d.index <= 1:
+            assert f * u * (f * g) == f * g and g * v * (g * f) == g * f
 
 
 def test_pair_swap_symmetry():
@@ -216,9 +221,15 @@ def test_dagger_pair_coherence():
 
 
 def test_transpose_pair_is_binary_idempotent():
-    f = q([[1, 1], [0, 0]])
-    mp = moore_penrose(f)
-    assert check_binary_idempotent(OpposingPair(f, mp.pseudo))
+    rng = random.Random(2008)
+    cases = [q([[1, 1], [0, 0]])]
+    cases += [random_matrix(rng, Q, rng.randint(1, 4), rng.randint(1, 4), span=2) for _ in range(20)]
+    for f in cases:
+        g = moore_penrose(f).pseudo
+        assert check_binary_idempotent(OpposingPair(f, g))
+        # Associativity makes both composites idempotent; check_binary_idempotent relies on it.
+        fg, gf = f * g, g * f
+        assert fg * fg == fg and gf * gf == gf
 
 
 def test_mp_drazin_check_frozen_cases():

@@ -66,3 +66,30 @@ def test_walk_steps_count_tail_and_cycle_past_the_linear_prefix():
     finally:
         tracer.remove()
     assert tracer.walk_steps == 15624
+
+
+def test_decompose_bundle_inverts_only_route_a_core():
+    """What [D.1-3] and the splittings prove is not recomputed, so the whole
+    decompose bundle (every entry and the D, CND and EV reports) makes one
+    inversion: route A's last core."""
+    trace_layers = _load_tracer()
+    x = Matrix(Q, [[2, 0, 0], [0, 0, 1], [0, 0, 0]])
+    tracer = trace_layers.Tracer(drazin)
+    tracer.install()
+    try:
+        d = drazin.drazin_inverse(x)
+        cn = drazin.core_nilpotent(x, d)
+        drazin.fitting_decomposition(x, d)
+        drazin.splitting_iso(x, d)
+        family = drazin.eventuating_family(x, d)
+        assert drazin.complement_formula_check(x, d) and drazin.munn_power_iso_check(x, d)
+        reports = [
+            drazin.check_axioms("D", x=x, inverse=d.inverse),
+            drazin.check_axioms("CND", x=x, core=cn.core, nilpotent_part=cn.nilpotent_part,
+                                nilpotent_index=cn.nilpotent_index),
+            drazin.check_axioms("EV", x=x, family=family),
+        ]
+    finally:
+        tracer.remove()
+    assert all(r.passed for r in reports)
+    assert tracer.calls["linalg.invert"] == 1

@@ -459,6 +459,38 @@ def test_monoid_cycle_route_matches_rank_route():
         assert c.idempotent == a.idempotent
 
 
+def test_monoid_cycle_route_builds_one_monoid_per_shape(monkeypatch):
+    """Route C keeps one fp_matrix_monoid per (p, n); fp_matrix_monoid itself
+    still returns a fresh monoid, and an overflowing (p, n) still raises on
+    every call, since a raising call is not cached."""
+    import drazin.finite as finite
+    import drazin.verify as verify
+
+    calls = []
+    real = finite.fp_matrix_monoid
+
+    def counting(p, n):
+        calls.append((p, n))
+        return real(p, n)
+
+    monkeypatch.setattr(verify, "fp_matrix_monoid", counting)
+    verify._matrix_monoid.cache_clear()
+    try:
+        rng = random.Random(4003)
+        for n in (2, 3, 2, 3):
+            x = Matrix(F5, [[rng.randrange(5) for _ in range(n)] for _ in range(n)])
+            assert monoid_cycle_drazin(x).inverse == drazin_inverse(x).inverse
+        assert calls == [(5, 2), (5, 3)]
+        big = PrimeField(4294967311)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="2\\^63"):
+                monoid_cycle_drazin(Matrix(big, [[1, 0], [0, 1]]))
+        assert calls[2:] == [(4294967311, 2)] * 2
+    finally:
+        verify._matrix_monoid.cache_clear()
+    assert real(5, 2) is not real(5, 2)
+
+
 def test_monoid_cycle_route_rejects_q():
     with pytest.raises(ValueError):
         monoid_cycle_drazin(q([[1]]))
