@@ -19,8 +19,17 @@ row echelon form run on plain Python ints, one kernel per field:
   and scaling by a nonzero number changes neither a row's zero pattern nor
   the row space, so the pivots and R are those of Gauss-Jordan over
   Fractions, entry for entry.
-* Over F_p, the same loops reduce mod p: once per dot product, and once per
-  entry of an eliminated row.
+* Over F_p, both kernels rely on the entries being residues in [0, p).
+  When a whole dot product fits in one byte, cols * (p - 1)**2 < 256, a
+  product packs each row of the right factor into one int, one byte per
+  entry (a Kronecker substitution), so one sum of int products forms a
+  whole output row with no carry between bytes, and bytes.translate
+  through a table of residues mod p unpacks it. When p * (p - 1) < 256
+  (p <= 13), rref keeps each row as bytes, scales the pivot row P as the
+  int P * inv and clears a row R as the int R + (p - a) * P, whose bytes
+  are at most p * (p - 1), each reduced by the same table. Past either
+  bound the same loops run on tuples of ints, reducing mod p once per dot
+  product and once per entry of an eliminated row.
 
 Pivoting is deterministic (the first row with a nonzero entry in the
 current column), and the canonical bases and factorizations are read off
@@ -87,6 +96,16 @@ def _over(m, den):
     return tuple(tuple([k * v for v in row]) for row in m._ints)
 
 
+# The most rows, and the most columns, Matrix.from_json accepts: it bounds
+# the work an input can ask for, since a product of two n x n matrices costs
+# n**3 scalar steps and one answer takes dozens of products.
+_DIMENSION_LIMIT = 100
+
+# v % p for every byte v, one table per prime that either byte kernel takes:
+# both bounds allow p <= 16 only.
+_RESIDUES = {p: bytes(v % p for v in range(256)) for p in (2, 3, 5, 7, 11, 13)}
+
+
 def _ratio(v, den):
     """The reduced "num/den" text of v / den."""
     g = gcd(v, den)
@@ -111,11 +130,11 @@ class Matrix:
             if cols is None:
                 cols = 0
         ints, den = _over_common_den(field, grid)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(ints))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_den", den)
+        _set_field(self, field)
+        _set_rows(self, len(ints))
+        _set_cols(self, cols)
+        _set_ints(self, ints)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -135,11 +154,11 @@ class Matrix:
                 ints = tuple(tuple([v // g for v in row]) for row in ints)
                 den //= g
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", len(ints))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_ints", ints)
-        object.__setattr__(m, "_den", den)
+        _set_field(m, field)
+        _set_rows(m, len(ints))
+        _set_cols(m, cols)
+        _set_ints(m, ints)
+        _set_den(m, den)
         return m
 
     @classmethod
@@ -222,12 +241,16 @@ class Matrix:
             )
         if self.rows == 0 or self.cols == 0 or other.cols == 0:
             return Matrix.zeros(self.field, self.rows, other.cols)
-        bt = tuple(zip(*other._ints))
         if isinstance(self.field, Rationals):
+            bt = tuple(zip(*other._ints))
             rows = tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in self._ints)
             return Matrix._raw(self.field, rows, other.cols, self._den * other._den)
         p = self.field.p
-        rows = tuple(tuple([sum(map(mul, row, col)) % p for col in bt]) for row in self._ints)
+        if self.cols * (p - 1) ** 2 < 256:
+            rows = _byte_product(self._ints, other._ints, other.cols, _RESIDUES[p])
+        else:
+            bt = tuple(zip(*other._ints))
+            rows = tuple(tuple([sum(map(mul, row, col)) % p for col in bt]) for row in self._ints)
         return Matrix._raw(self.field, rows, other.cols)
 
     def __pow__(self, k):
@@ -292,6 +315,11 @@ class Matrix:
         for name, size in (("rows", rows), ("cols", cols)):
             if not isinstance(size, int) or isinstance(size, bool) or size < 0:
                 raise ParseError("%s must be a natural number, got %r" % (name, size))
+            if size > _DIMENSION_LIMIT:
+                raise ParseError(
+                    "matrix has %d %s, over the limit of %d rows and %d columns"
+                    % (size, name, _DIMENSION_LIMIT, _DIMENSION_LIMIT)
+                )
         if len(entries) != rows:
             raise ParseError("entries has %r rows, expected %r" % (len(entries), rows))
         dec = field.scalar_from_json
@@ -302,6 +330,26 @@ class Matrix:
             grid.append(tuple(dec(a) for a in row))
         ints, den = _over_common_den(field, tuple(grid))
         return cls._raw(field, ints, cols, den)
+
+
+# The slots' own setters, which fill a new Matrix without the attribute
+# lookup of object.__setattr__; Matrix.__setattr__ refuses every assignment.
+_set_field, _set_rows, _set_cols, _set_ints, _set_den = (
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__
+)
+
+
+def _byte_product(a, b, ncols, table):
+    """a * b over F_p for residues with len(b) * (p - 1)**2 < 256, table = _RESIDUES[p].
+
+    Row t of b packs into one int with entry j in byte j. The sum over t of
+    a[i][t] times pack t holds the dot product of row i and column j in byte
+    j, below 256, so no byte carries into the next.
+    """
+    packs = [int.from_bytes(bytes(row), "little") for row in b]
+    return tuple(
+        tuple(sum(map(mul, row, packs)).to_bytes(ncols, "little").translate(table)) for row in a
+    )
 
 
 def hstack(a, b):
@@ -366,6 +414,8 @@ def _pivots(rows, ncols):
 
 def _fp_rref(entries, ncols, p):
     """Gauss-Jordan over F_p on ints in [0, p), reducing each entry once per step."""
+    if p * (p - 1) < 256:
+        return _byte_rref(entries, ncols, p, _RESIDUES[p])
     rows = [list(row) for row in entries]
     pivots = []
     for r, c in _pivots(rows, ncols):
@@ -377,6 +427,31 @@ def _fp_rref(entries, ncols, p):
             a = row[c]
             if a and i != r:
                 rows[i] = [(x - a * y) % p for x, y in zip(row, prow)]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _byte_rref(entries, ncols, p, table):
+    """_fp_rref with each row as bytes, for p * (p - 1) < 256.
+
+    With P the scaled pivot row as an int, one byte per entry, a row R with
+    a in the pivot column becomes the bytes of R + (p - a) * P: each byte is
+    at most (p - 1) + (p - 1)**2 = p * (p - 1) < 256, so none carries, and
+    table reduces them mod p.
+    """
+    rows = list(map(bytes, entries))
+    pivots = []
+    for r, c in _pivots(rows, ncols):
+        pivot = int.from_bytes(rows[r], "little")
+        inv = pow(rows[r][c], -1, p)
+        if inv != 1:
+            rows[r] = (pivot * inv).to_bytes(ncols, "little").translate(table)
+            pivot = int.from_bytes(rows[r], "little")
+        for i, row in enumerate(rows):
+            a = row[c]
+            if a and i != r:
+                clear = int.from_bytes(row, "little") + (p - a) * pivot
+                rows[i] = clear.to_bytes(ncols, "little").translate(table)
         pivots.append(c)
     return rows, pivots
 

@@ -6,7 +6,8 @@ square. The pair inverse components are computed by two independent formulas
 each and cross-checked; disagreement would contradict uniqueness and raises
 InternalInconsistencyError. What [DV.1-3] or associativity prove (the group
 absorption at index at most 1, the idempotence of a binary idempotent's
-composites) is not checked again.
+composites, the two expressions of each pair idempotent) is not checked
+again.
 """
 
 from __future__ import annotations
@@ -85,6 +86,12 @@ def pair_drazin(pair):
     expressions are required to agree. The index is the smallest k at which
     both absorption equations hold; the two one-sided minima can differ by
     at most one and the difference is logged.
+
+    Once the two formulas agree, so do the two expressions of each
+    idempotent, by associativity alone: with u = g*(f*g)^D = (g*f)^D*g and
+    v = f*(g*f)^D = (f*g)^D*f,
+        v*g = f*(g*f)^D*g = f*u   and   u*f = g*(f*g)^D*f = g*v,
+    so e_fg = f*u and e_gf = u*f are not checked against v*g and g*v.
     """
     f, g = pair.forward, pair.backward
     fg = f * g
@@ -98,11 +105,7 @@ def pair_drazin(pair):
     if g_over_f != d_fg.inverse * f:
         raise InternalInconsistencyError("the two formulas for g^{D/f} disagree")
     idem_fg = f * f_over_g
-    if idem_fg != g_over_f * g:
-        raise InternalInconsistencyError("e_fg expressions disagree")
     idem_gf = f_over_g * f
-    if idem_gf != g * g_over_f:
-        raise InternalInconsistencyError("e_gf expressions disagree")
     k1, k2 = _pair_absorption(fg, gf, idem_fg, idem_gf)
     if k1 != d_fg.index or k2 != d_gf.index:
         raise InternalInconsistencyError(

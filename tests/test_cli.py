@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drazin import Matrix, Q, linalg
 from drazin.cli import main
 
 
@@ -520,6 +521,19 @@ def test_closed_stdout_exits_one_without_traceback(argv):
 def test_malformed_matrix_exit_one(capsys, payload):
     code, resp = run_json(capsys, ["drazin", "--matrix", payload])
     assert code == 1 and "error" in resp
+
+
+def test_matrix_dimension_limit(capsys):
+    """A matrix of more than 100 rows or columns exits 1 naming the limit,
+    before any entry is parsed; 100 of each parses."""
+    limit = linalg._DIMENSION_LIMIT
+    assert limit == 100
+    wide = [[0] * (limit + 1)]
+    tall = {"rows": limit + 1, "cols": 1, "entries": [["not a scalar"]] * (limit + 1)}
+    for payload in (wide, tall):
+        code, resp = run_json(capsys, ["mp", "--matrix", json.dumps(payload)])
+        assert code == 1 and "limit of 100 rows and 100 columns" in resp["error"], resp
+    assert Matrix.from_json(Q, [[0] * limit] * limit).rows == limit
 
 
 def test_exponent_scalar_exit_one(capsys):

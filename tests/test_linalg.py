@@ -26,6 +26,7 @@ from drazin import (
     image_basis,
     invert_matrix,
     kernel_basis,
+    linalg,
     rank,
     rref,
     vstack,
@@ -36,6 +37,7 @@ from oracles import (
     frac_matmul,
     frac_rank,
     frac_rref,
+    identity_tuple,
     modp_matmul,
     modp_rank,
     modp_rref,
@@ -325,12 +327,88 @@ def test_q_rref_matches_oracle(case):
 @given(st.data())
 def test_fp_rref_matches_oracle(data):
     p = data.draw(PRIMES)
-    m, cols = data.draw(reducible(FP_ENTRIES, lambda x, y: modp_matmul(x, y, p)))
+    assert_fp_rref_matches(p, *data.draw(reducible(FP_ENTRIES, lambda x, y: modp_matmul(x, y, p))))
+
+
+def assert_fp_rref_matches(p, m, cols):
     reduced, pivots, rk = rref(Matrix(PrimeField(p), m, cols=cols))
     want, want_pivots = modp_rref(m, p)
     assert pivots == want_pivots and rk == len(want_pivots)
     assert (reduced.rows, reduced.cols) == (len(m), cols)
     assert reduced.entries == want
+    assert all(type(v) is int for row in reduced.entries for v in row)
+
+
+# Property tests at the bounds of the F_p byte kernels: a product packs bytes
+# when inner * (p - 1)**2 < 256, and rref when p * (p - 1) < 256, that is
+# p <= 13. Entries lean to -1, that is p - 1, the residue that fills a byte
+# the most, and the inner sizes straddle the product bound.
+
+BOUND_PRIMES = st.sampled_from([7, 11, 13, 17])
+BOUND_ENTRIES = st.one_of(st.just(-1), st.integers(-300, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fp_product_matches_oracle_across_the_byte_bound(data):
+    p = data.draw(BOUND_PRIMES)
+    edge = 255 // (p - 1) ** 2  # the largest inner size that packs bytes
+    inner = data.draw(st.integers(max(edge - 1, 0), edge + 2))
+    rows, cols = data.draw(DIMS), data.draw(DIMS)
+    a, b = grid(data.draw, BOUND_ENTRIES, rows, inner), grid(data.draw, BOUND_ENTRIES, inner, cols)
+    field = PrimeField(p)
+    got = Matrix(field, a, cols=inner) * Matrix(field, b, cols=cols)
+    assert got.entries == expected_product(lambda x, y: modp_matmul(x, y, p), a, b, inner, cols)
+    assert all(type(v) is int for row in got.entries for v in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fp_rref_matches_oracle_across_the_byte_bound(data):
+    p = data.draw(BOUND_PRIMES)
+    assert_fp_rref_matches(p, *data.draw(reducible(BOUND_ENTRIES, lambda x, y: modp_matmul(x, y, p))))
+
+
+@pytest.mark.parametrize("p, inner", [(2, 255), (3, 63), (5, 15), (7, 7), (11, 2)])
+def test_fp_product_of_top_residues_at_the_byte_bound(p, inner):
+    """Every byte of an all-(p - 1) product at the largest inner size that
+    packs bytes holds inner * (p - 1)**2, the most below 256; one size more
+    takes the tuple kernel."""
+    field = PrimeField(p)
+    for k in (inner, inner + 1):
+        a, b = ((p - 1,) * k,) * 3, ((p - 1,) * 4,) * k
+        assert (Matrix(field, a) * Matrix(field, b)).entries == modp_matmul(a, b, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+def test_fp_rref_of_top_residues_at_the_byte_bound(p):
+    """Clearing row 1 by row 0 adds (p - 1) * (p - 1) to p - 1 in every byte
+    but the first: p * (p - 1), the most a byte of the row reduction holds."""
+    top = p - 1
+    m = ((1,) + (top,) * 5, (1,) + (top,) * 5, (top,) * 6, (top, 0) * 3)
+    assert_fp_rref_matches(p, m, 6)
+    assert_fp_rref_matches(p, tuple(row + unit for row, unit in zip(m, identity_tuple(4))), 10)
+
+
+def test_small_fp_kernels_take_the_byte_path(monkeypatch):
+    """A 6 x 6 product and rref over F_5 run on bytes."""
+    calls = []
+
+    def count(name):
+        kernel = getattr(linalg, name)
+
+        def counted(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+
+    count("_byte_product")
+    count("_byte_rref")
+    a = random_fp_matrix(random.Random(5), F5, 6, 6)
+    assert (a * a).entries == modp_matmul(a.entries, a.entries, 5)
+    assert rref(a)[0].entries == modp_rref(a.entries, 5)[0]
+    assert calls == ["_byte_product", "_byte_rref"]
 
 
 # Property tests: +, -, unary - and scale against Fraction and mod-p

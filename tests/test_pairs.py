@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drazin import (
     Matrix,
@@ -99,6 +101,25 @@ def test_pair_axioms_on_random_pairs():
         assert check_pair_group(pair, d) == (d.index <= 1)
         if d.index <= 1:
             assert f * u * (f * g) == f * g and g * v * (g * f) == g * f
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_idempotents_have_both_expressions(data):
+    """idem_fg = f*u = v*g and idem_gf = u*f = g*v on pair_drazin's output.
+
+    pair_drazin builds f*u and u*f only: once its two formulas for u and
+    for v agree, associativity gives v*g = f*u and g*v = u*f. This checks
+    both identities directly, on sparse pairs, many of index above 1."""
+    field = data.draw(st.sampled_from([Q, F2, F3, F7]))
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(-2, 2))
+    f = Matrix(field, [[data.draw(entry) for _ in range(m)] for _ in range(n)])
+    g = Matrix(field, [[data.draw(entry) for _ in range(n)] for _ in range(m)])
+    d = pair_drazin(OpposingPair(f, g))
+    u, v = d.f_over_g, d.g_over_f
+    assert d.idem_fg == f * u == v * g
+    assert d.idem_gf == u * f == g * v
 
 
 def test_pair_swap_symmetry():
