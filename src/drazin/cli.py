@@ -44,7 +44,7 @@ from .pairs import (
     mp_via_pair_drazin,
     pair_drazin,
 )
-from .verify import check_axioms, check_monoid_axioms, monoid_cycle_drazin
+from .verify import _report, check_axioms, check_monoid_axioms, monoid_cycle_drazin
 
 __all__ = ["main"]
 
@@ -230,7 +230,7 @@ def _cmd_decompose(args):
     field, x = _inputs(args, "matrix")
     d = drazin_inverse(x)
     try:
-        _certified(x, d)
+        ctx = _certified(x, d)
     except ValueError as exc:  # d is route A's own answer, so a stale bundle is a bug
         raise InternalInconsistencyError("route A's answer fails revalidation: %s" % exc) from exc
     cn = core_nilpotent(x, d)
@@ -239,7 +239,7 @@ def _cmd_decompose(args):
     family = eventuating_family(x, d, N=args.window)
     complement_ok = complement_formula_check(x, d)
     munn_ok = munn_power_iso_check(x, d)
-    report_d = check_axioms("D", x=x, inverse=d.inverse)
+    report_d = _report("D", (), ctx.witnessed)  # [D.1-3] passed in _certified
     report_cnd = check_axioms(
         "CND",
         x=x,

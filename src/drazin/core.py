@@ -8,9 +8,10 @@ the last core is 0 x 0, and x^D = B_1...B_k * core^{-(k+1)} * C_k...C_1.
 One evaluator: [D.1-3] read the same for matrices, endofunctions and
 monoid elements, so they are evaluated once over one carrier (_carrier:
 cap, mul, identity, eq), with one absorption search for the least k of
-[D.1], shared by verify's reports, brute_force_drazin and the raising
-revalidations, whose one stale-bundle rule is _require_fresh; [DV.1-3] run
-the same search on f*g and on g*f (_pair_absorption).
+[D.1] (finite._absorption_index), shared by verify's reports,
+brute_force_drazin, route C's index scans and the raising revalidations,
+whose one stale-bundle rule is _require_fresh; [DV.1-3] run the same
+search on f*g and on g*f (_pair_absorption).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .exceptions import (
     ShapeMismatchError,
     WitnessInvalidError,
 )
-from .finite import EndoFun
+from .finite import EndoFun, _absorption_index
 from .linalg import Matrix, _factor, _invert_or_bug, rref
 
 
@@ -104,22 +105,6 @@ def drazin_from_pi_witnesses(x, y, p, z, q):
     return (x ** k) * (z ** (k + 1))
 
 
-def _absorption_index(x, e, cap, mul, one, eq):
-    """Least k in [0, cap] with x^k * e == x^k, else None.
-
-    Absorption at k holds at every higher power; for n x n matrices the row
-    space of x^k is constant from k = n on, so cap = n decides every power.
-    """
-    if cap >= 0 and eq(e, one):  # x^0 * e == e: no product needed
-        return 0
-    power = x
-    for k in range(1, cap + 1):
-        if eq(mul(power, e), power):
-            return k
-        power = mul(power, x)
-    return None
-
-
 def _carrier(x):
     """(cap, mul, one, eq) of a matrix or an endofunction; cap = its dimension."""
     if isinstance(x, Matrix):
@@ -194,13 +179,16 @@ def _require_fresh(what, first_tag, index, failed, k):
 
 
 def verify_drazin_data(x, d):
-    """Cheap exact [D.1-3] revalidation used by every decomposition entry."""
+    """Cheap exact [D.1-3] revalidation used by every decomposition entry;
+    returns the least k witnessing [D.1]."""
     _require_square(x)
     if not isinstance(d, DrazinData):
         raise ValueError("expected DrazinData")
     xd = d.inverse
     if xd.field != x.field or (xd.rows, xd.cols) != (x.rows, x.cols):
         raise ValueError("DrazinData does not match the shape or field of x")
-    _require_fresh("DrazinData", "D.1", d.index, *_drazin_failures(x, xd, *_carrier(x)))
+    failed, witnessed = _drazin_failures(x, xd, *_carrier(x))
+    _require_fresh("DrazinData", "D.1", d.index, failed, witnessed)
     if d.idempotent != x * xd:
         raise ValueError("stale DrazinData: recorded idempotent is wrong")
+    return witnessed

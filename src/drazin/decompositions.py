@@ -91,8 +91,9 @@ def split_idempotent(e):
 class _DrazinContext:
     """What the entries share for one validated (x, d), each part built on first use."""
 
-    def __init__(self, x, d):  # d's fields, not d: d holds the context
+    def __init__(self, x, d, witnessed):  # d's fields, not d: d holds the context
         self.x, self.xd, self.e = x, d.inverse, d.idempotent
+        self.witnessed = witnessed  # the least k of [D.1], found by the validation
 
     @cached_property
     def nilpotent_part(self):
@@ -113,8 +114,7 @@ def _certified(x, d):
     use validates; another x or a new bundle (dataclasses.replace too) revalidates."""
     ctx = getattr(d, "_context", None)
     if ctx is None or ctx.x is not x:
-        verify_drazin_data(x, d)
-        ctx = _DrazinContext(x, d)
+        ctx = _DrazinContext(x, d, verify_drazin_data(x, d))
         object.__setattr__(d, "_context", ctx)  # as functools.cached_property does
     return ctx
 

@@ -4,21 +4,17 @@ elements of finite monoids given by callbacks.
 An endofunction stabilizes: the image chain im(f) ⊇ im(f²) ⊇ ... becomes
 constant at some k and f permutes the stable set, so inverting there and
 pushing through f^k gives the Drazin inverse. A finite-monoid element
-repeats a power, x^m = x^{m+c}, and x^D = x^j for the one j in [m, m+c)
-with c | j + 1. The search for that first repeat has two steps, T a bound
-on the tail m:
-
-- a linear prefix of T + _PREFIX steps looks each power up among the keys
-  of x^0 .. x^T, which is where most cycles close;
-- past it, y = x^T lies on the cycle, so c is the first j with y·x^j = y.
-  Blocks of consecutive powers, starting with the prefix's last _PREFIX
-  and doubling up to _BLOCK, are multiplied at once and compared with y
-  only, and m is the least k <= T with x^k·x^c = x^k.
-
-Neither step holds more than about T + _PREFIX + 2·_BLOCK powers at a
-time, so memory does not grow with the cycle. The search covers
-m + c <= max_steps when max_steps is given, else the monoid size capped
-at _WALK_LIMIT; past it it raises CycleNotFoundError.
+repeats a power, x^m = x^{m+c}, and x^D = x^j for every j >= m with
+c | j + 1. With T a bound on the tail m, a linear prefix of T + _PREFIX
+steps looks each power up among the keys of x^0 .. x^T; most cycles close
+there. Past it, a monoid that records an exponent E, a multiple of every
+cycle length, takes j = tE - 1 >= T (monoid_drazin); otherwise x^T lies on
+the cycle, and the walk keeps one power until it meets x^T again
+(_first_repeat). Then m is the least k <= T with x^k·x^s = x^k for a
+multiple s of c (_absorption_index). Memory stays at the prefix's
+T + _PREFIX powers. The budget max_steps, by default the monoid size capped at
+_WALK_LIMIT, bounds m + c for the walk, and the prefix's steps plus the
+products of x^(j+1) for the closed form; past it, CycleNotFoundError.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
+from math import lcm
 
 from .exceptions import CycleNotFoundError, ParseError
 
@@ -34,12 +31,10 @@ from .exceptions import CycleNotFoundError, ParseError
 # bounded by the monoid's tail bound, not by its length.
 _WALK_LIMIT = 10 ** 6
 
-# Steps past the tail bound that the walk takes one power at a time, and the
-# most powers one block of the anchored search multiplies. Set by measuring
-# fp-audit: with no prefix, blocks slowed the short cycles that most answers
-# have; a larger block raised the peak memory and gained no speed.
+# Steps past the tail bound that every search takes one power at a time.
+# Most fp-audit cycles close within them, and there a walk is cheaper than
+# the closed form's square-and-multiply.
 _PREFIX = 32
-_BLOCK = 128
 
 
 def _power(x, k, mul, one):
@@ -55,6 +50,36 @@ def _power(x, k, mul, one):
         if k:
             x = mul(x, x)
     return one() if result is None else result
+
+
+def _absorption_index(x, e, cap, mul, one, eq):
+    """Least k in [0, cap] with x^k * e == x^k, else None.
+
+    Absorption at k holds at every higher power; for n x n matrices the row
+    space of x^k is constant from k = n on, so cap = n decides every power.
+    """
+    if cap >= 0 and eq(e, one):  # x^0 * e == e: no product needed
+        return 0
+    power = x
+    for k in range(1, cap + 1):
+        if eq(mul(power, e), power):
+            return k
+        power = mul(power, x)
+    return None
+
+
+def _fp_exponent(p, n, bits):
+    """E = lcm(p - 1, p^2 - 1, ..., p^n - 1)·p^e with p^e >= n, a multiple of
+    the cycle length of every n x n matrix over F_p (docs/concordance.md), or
+    None once it has more than bits bits."""
+    exponent = 1
+    while exponent < n:
+        exponent *= p
+    for i in range(1, n + 1):
+        exponent = lcm(exponent, p ** i - 1)
+        if exponent.bit_length() > bits:
+            return None
+    return exponent
 
 
 @dataclass(frozen=True)
@@ -152,6 +177,7 @@ class Monoid:
     """
 
     _tail = None  # bounds every element's tail m; the constructors below set it
+    _exponent = None  # bits -> a multiple of every cycle length, or None past bits bits
 
     def __init__(self, mul, identity, *, key=None, name=None, size=None):
         self.mul = mul
@@ -162,25 +188,6 @@ class Monoid:
 
     def eq(self, a, b):
         return self.key(a) == self.key(b)
-
-    def _block(self, powers, step, anchor, grow):
-        """One block of the anchored search in _first_repeat, element by element.
-
-        Returns (block, offset): offset indexes the first of the products
-        z·step, z in powers, equal to anchor, or is None; block is those
-        products, after powers when grow is true. The products stop at the
-        first hit, after which the search needs no block. fp_matrix_monoid
-        sets a numpy version on its instance.
-        """
-        mul, key = self.mul, self.key
-        goal = key(anchor)
-        products = []
-        for z in powers:
-            product = mul(z, step)
-            if key(product) == goal:
-                return products, len(products)
-            products.append(product)
-        return (powers + products if grow else products), None
 
     def element(self, value):
         return MonoidElement(value, self)
@@ -199,28 +206,34 @@ class MonoidElement:
     monoid: Monoid = field(repr=False)
 
 
+def _budget(mon, max_steps):
+    """max_steps, or by default the monoid's size capped at _WALK_LIMIT."""
+    if max_steps is not None:
+        return max_steps
+    if mon.size is None:
+        raise ValueError("max_steps required for a monoid of unknown size")
+    return min(mon.size, _WALK_LIMIT)
+
+
 def _first_repeat(mon, x, max_steps):
     """Find the first repeat x^{m+c} = x^m among the powers of x, keyed by mon.key.
 
     Returns (kept, m, c): m is the tail length, c the cycle length, and kept
-    maps e to x^e for every e the linear prefix reached, and for e = c - 1
-    when the repeat is found past it. T is the monoid's tail
-    bound, or the budget when it sets none, which leaves the prefix the
+    maps e to x^e for every e the linear prefix reached. T is the monoid's
+    tail bound, or the budget when it sets none, which leaves the prefix the
     whole walk. The prefix looks keys up among those of x^0 .. x^T only;
-    the first hit is still x^{m+c}, since m <= T.
+    the first hit is still x^{m+c}, since m <= T. Past it the walk keeps
+    only its last power and stops when it is x^T again.
     """
-    if max_steps is None:
-        if mon.size is None:
-            raise ValueError("max_steps required for a monoid of unknown size")
-        max_steps = min(mon.size, _WALK_LIMIT)
+    max_steps = _budget(mon, max_steps)
     tail = max_steps if mon._tail is None else mon._tail
     prefix = min(max_steps, tail + _PREFIX)
-    key = mon.key
-    power = mon.identity
+    key, mul, one = mon.key, mon.mul, mon.identity
+    power = one
     kept = {0: power}
     seen = {key(power): 0}
     for step in range(1, prefix + 1):
-        power = kept[step] = mon.mul(power, x)
+        power = kept[step] = mul(power, x)
         k = key(power)
         m = seen.get(k)
         if m is not None:
@@ -228,43 +241,18 @@ def _first_repeat(mon, x, max_steps):
         if step <= tail:
             seen[k] = step
     if prefix < max_steps:
-        # The prefix ends with x^T·x^1 .. x^T·x^_PREFIX; x^_PREFIX moves them on.
-        block = [kept[e] for e in range(tail + 1, prefix + 1)]
-        c = _anchored_cycle(mon, block, kept[_PREFIX], kept[tail], max_steps)
-        if c is not None:
-            if c - 1 not in kept:  # kept holds every power up to the prefix's end
-                q, r = divmod(c - 1, prefix)
-                kept[c - 1] = mon.mul(_power(kept[prefix], q, mon.mul, lambda: mon.identity), kept[r])
-            x_c = mon.mul(kept[c - 1], x)
-            m = next(k for k in range(tail + 1) if key(mon.mul(kept[k], x_c)) == key(kept[k]))
-            if m + c <= max_steps:
-                return kept, m, c
+        # x^T lies on the cycle, and x^T·x^1 .. x^T·x^_PREFIX are not x^T.
+        anchor = key(kept[tail])
+        for c in range(_PREFIX + 1, max_steps + 1):
+            power = mul(power, x)
+            if key(power) == anchor:
+                m = _absorption_index(x, _power(x, c, mul, lambda: one), tail, mul, one, mon.eq)
+                if m + c <= max_steps:
+                    return kept, m, c
+                break
     # A numpy matrix (fp_matrix_monoid) is named by its rows, on one line.
     shown = x.tolist() if hasattr(x, "tolist") else x
-    raise CycleNotFoundError(
-        "no repeated power of %r within %d steps" % (shown, max_steps)
-    )
-
-
-def _anchored_cycle(mon, block, step, anchor, max_steps):
-    """The least c with anchor·x^c = anchor, or None if c > max_steps.
-
-    block holds anchor·x^1 .. anchor·x^w, none of them anchor, and step is
-    x^w. Each _block call moves the block on by its width, so it always
-    holds the powers anchor·x^i for the last width exponents i up to j;
-    the width doubles up to _BLOCK, then the block slides.
-    """
-    j = width = len(block)
-    while j < max_steps:
-        grow = width < _BLOCK
-        block, offset = mon._block(block, step, anchor, grow)
-        if offset is not None:
-            return j + 1 + offset
-        j += width
-        if grow:
-            step = mon.mul(step, step)
-            width *= 2
-    return None
+    raise CycleNotFoundError("no repeated power of %r within %d steps" % (shown, max_steps))
 
 
 def power_cycle(x, max_steps=None):
@@ -276,12 +264,34 @@ def monoid_drazin(x, max_steps=None):
     """(x^D, index) for a finite-monoid element, by power-cycle detection.
 
     max_steps defaults to min(monoid size, _WALK_LIMIT). With x^m = x^{m+c}
-    the first repeat, x^D = x^j for j = m + (-1 - m) mod c: c divides j + 1,
-    so x*x^D = x^{j+1} is the identity of the cycle. The index is the tail
+    the first repeat, x^D = x^j for any j >= m that c divides j + 1: then
+    x*x^D = x^{j+1} is the identity of the cycle. The index is the tail
     length m: x*x^D is a power in the cycle, so x^i * x * x^D lies in the
     cycle too, and for i < m it differs from x^i, which lies outside it.
+    Past the linear prefix, a monoid with an exponent E takes j = tE - 1
+    for the least t with j >= T, its tail bound, and m is the least k <= T
+    with x^k * x^{j+1} = x^k.
     """
-    return _cycle_drazin(x, max_steps)[:2]
+    mon = x.monoid
+    if mon._exponent is None:
+        return _cycle_drazin(x, max_steps)[:2]
+    max_steps = _budget(mon, max_steps)
+    prefix = min(max_steps, mon._tail + _PREFIX)
+    try:
+        return _cycle_drazin(x, prefix)[:2]
+    except CycleNotFoundError:
+        if prefix == max_steps:
+            raise
+    # x^(j+1) takes bitlen(j) + popcount(j) - 1 products, at least bitlen(E) - 1
+    # as j >= E - 1: an E of more bits than the steps left plus one is past the budget.
+    exponent = mon._exponent(max_steps - prefix + 1)
+    j = exponent and -(-(mon._tail + 1) // exponent) * exponent - 1
+    if j is None or prefix + j.bit_length() + bin(j).count("1") - 1 > max_steps:
+        raise CycleNotFoundError("x^D as a power of x takes more than the budget of %d steps" % max_steps)
+    mul, one = mon.mul, mon.identity
+    inverse = _power(x.value, j, mul, lambda: one)
+    index = _absorption_index(x.value, mul(inverse, x.value), mon._tail, mul, one, mon.eq)
+    return mon.element(inverse), index
 
 
 def _cycle_drazin(x, max_steps):
@@ -322,13 +332,12 @@ def transformation_monoid(n):
 def fp_matrix_monoid(p, n):
     """n x n matrices over F_p as int64 numpy arrays.
 
-    Exists for the Route C matrix walk: power cycles in GL(n, p) reach
-    thousands of steps, so the walk multiplies numpy arrays and keys its
-    linear prefix by raw bytes. Past the prefix, one block of up to _BLOCK
-    consecutive powers is a (b, n, n) array: one broadcast product moves it
-    on and one comparison finds x^T in it, so memory stays constant however
-    long the cycle. An entry of a product sums n terms below (p-1)^2 before
-    the reduction, so n*(p-1)^2 must stay below 2^63.
+    Exists for Route C: power cycles in GL(n, p) reach thousands of steps,
+    so the walk multiplies numpy arrays and keys its linear prefix by raw
+    bytes. The monoid records T = n and the exponent E (_fp_exponent), so
+    monoid_drazin answers in closed form past the prefix. An entry of a
+    product sums n terms below (p-1)^2 before the reduction, so
+    n*(p-1)^2 must stay below 2^63.
     """
     if n * (p - 1) ** 2 >= 2 ** 63:
         raise ValueError(
@@ -345,15 +354,5 @@ def fp_matrix_monoid(p, n):
         size=p ** (n * n),
     )
     monoid._tail = n  # the index of an n x n matrix
-
-    def block(powers, step, anchor, grow):
-        products = np.matmul(powers, step) % p  # powers: (b, n, n), or a list of b arrays
-        equal = (products == anchor).all(axis=(1, 2))
-        offset = int(equal.argmax())
-        return (
-            np.concatenate((powers, products)) if grow else products,
-            offset if equal[offset] else None,
-        )
-
-    monoid._block = block
+    monoid._exponent = partial(_fp_exponent, p, n)
     return monoid

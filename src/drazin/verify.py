@@ -18,7 +18,6 @@ from typing import Optional
 
 from .core import (
     DrazinData,
-    _absorption_index,
     _carrier,
     _drazin_failures,
     _group_pair_absorbs,
@@ -37,7 +36,7 @@ from .exceptions import (
     NotSquareError,
 )
 from .fields import PrimeField
-from .finite import fp_matrix_monoid, monoid_drazin
+from .finite import Monoid, _absorption_index, _fp_exponent, fp_matrix_monoid, monoid_drazin
 from .linalg import Matrix
 
 
@@ -216,31 +215,40 @@ def all_matrices(field, rows, cols, scalars=None):
 
 @functools.lru_cache(maxsize=64)
 def _matrix_monoid(p, n):
-    """One fp_matrix_monoid per (p, n): route C walks many matrices of one shape,
-    and the walk leaves its monoid unchanged."""
-    return fp_matrix_monoid(p, n)
+    """Route C's monoid, one per (p, n), since route C takes many matrices of
+    one shape: fp_matrix_monoid where its int64 products cannot overflow,
+    else one of Matrix values with the same tail bound T = n and exponent."""
+    try:
+        return fp_matrix_monoid(p, n)
+    except ValueError:  # n*(p-1)^2 >= 2^63
+        monoid = Monoid(operator.mul, Matrix.identity(PrimeField(p), n), size=p ** (n * n))
+    monoid._tail, monoid._exponent = n, functools.partial(_fp_exponent, p, n)
+    return monoid
 
 
 def monoid_cycle_drazin(x, max_steps=None):
-    """Route C: the power-cycle walk in the monoid of matrices over F_p.
+    """Route C: x^D as a power of x in the monoid of matrices over F_p.
 
-    Same contract as drazin_inverse. Only finite fields qualify: the walk
-    needs the power sequence to repeat.
+    Same contract as drazin_inverse, with the idempotent x^{j+1} = x^D * x.
+    Only finite fields qualify: the powers must repeat.
     """
     if not isinstance(x.field, PrimeField):
         raise ValueError("the power-cycle route needs a finite field")
     if not x.is_square:
         raise NotSquareError("Drazin inverses need a square matrix")
     monoid = _matrix_monoid(x.field.p, x.rows)
-    import numpy as np  # loaded by fp_matrix_monoid; kept out of module import
+    start = x
+    if not isinstance(monoid.identity, Matrix):
+        import numpy as np  # loaded by fp_matrix_monoid; kept out of module import
 
-    start = np.array(x._ints, dtype=np.int64).reshape(x.rows, x.cols)
+        start = np.array(x._ints, dtype=np.int64).reshape(x.rows, x.cols)
     element, index = monoid_drazin(monoid.element(start), max_steps)
-    # Every power is reduced mod p already, so no entry needs coercing.
-    inverse = Matrix._raw(x.field, tuple(map(tuple, element.value.tolist())), x.cols)
-    return DrazinData(
-        inverse=inverse, index=index, idempotent=x * inverse, route="MonoidCycle"
-    )
+    inverse, idempotent = element.value, monoid.mul(element.value, start)
+    if start is not x:  # every numpy power is reduced mod p already
+        inverse, idempotent = (
+            Matrix._raw(x.field, tuple(map(tuple, a.tolist())), x.cols) for a in (inverse, idempotent)
+        )
+    return DrazinData(inverse=inverse, index=index, idempotent=idempotent, route="MonoidCycle")
 
 
 @dataclass(frozen=True)

@@ -226,14 +226,15 @@ def test_monoid_certifier_is_bounded_by_the_tail(capsys, monkeypatch):
 
 
 def test_import_leaves_logging_out():
-    """The one log record is rare, so importing the CLI does not load logging."""
+    """The one log record is rare, and only route C's numpy monoid needs numpy,
+    so importing the CLI loads neither logging nor numpy."""
     import drazin
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drazin.__file__)))
-    code = "import sys, drazin.cli; print('logging' in sys.modules)"
+    code = "import sys, drazin.cli; print('logging' in sys.modules, 'numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_monoid_default_step_limit(capsys):
@@ -589,19 +590,29 @@ def test_digit_limit_on_answer(capsys):
     assert "0" * 50 not in out
 
 
-def test_route_c_refuses_int64_overflow():
-    # With p = 4294967311 the int64 power walk of this order-2 matrix wraps
-    # around and never closes; route C must refuse before walking.
-    p = 4294967311
-    proc = subprocess.run(
-        [sys.executable, "-m", "drazin.cli", "drazin", "--route", "C", "--field", "Fp",
-         "--p", str(p), "--matrix", "[[%d,5],[0,1]]" % (p - 1)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert "2^63" in json.loads(proc.stdout)["error"]
+def test_route_c_answers_past_int64():
+    """Route C answers every prime: past the int64 range of its numpy products
+    (p = 4294967311, where they would wrap around) it multiplies Matrix
+    values, and past 10^6 steps without a repeat (p = 1000003) it takes x^D in
+    closed form. Each D report passes and witnesses route A's index."""
+    import drazin
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drazin.__file__)))
+    for p, rows in ((4294967311, [[4294967310, 5], [0, 1]]), (1000003, [[0, 1], [1, 1]]),
+                    (4294967311, [[0, 1], [1, 1]])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "drazin.cli", "drazin", "--route", "C", "--field", "Fp",
+             "--p", str(p), "--matrix", json.dumps(rows)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        resp = json.loads(proc.stdout)
+        index = drazin.drazin_inverse(drazin.Matrix(drazin.PrimeField(p), rows)).index
+        assert resp["route"] == "MonoidCycle" and resp["index"] == index
+        assert resp["axioms"]["passed"] and resp["axioms"]["witnessed_index"] == index
 
 
 def test_route_c_step_limit(capsys, monkeypatch):

@@ -1,9 +1,10 @@
 import random
 import tracemalloc
+from math import lcm
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drazin import (
@@ -21,6 +22,8 @@ from drazin import (
     eventual_image,
     fp_matrix_monoid,
     int_mod_monoid,
+    invert_matrix,
+    monoid_cycle_drazin,
     monoid_drazin,
     power_cycle,
     transformation_monoid,
@@ -356,10 +359,9 @@ def _agrees_with_reference(p, rows):
 
 def test_matrix_walk_agrees_with_the_reference_on_every_branch():
     """(m, c, x^D) against the oracle's plain walk on 6 x 6 matrices, whose
-    tail bound is T = 6. The linear prefix covers m + c <= T + 32; past it
-    the anchored search finds c in blocks of 33-64, 65-128 and 129-256
-    relative to x^T, doubling to 128 powers, then sliding by 128: 257-384,
-    385-512, ... up to c = 15,624. Tails run over m = 0 .. 6."""
+    tail bound is T = 6. The linear prefix covers m + c <= T + 32, at its
+    edges here; past it power_cycle walks on from x^T, up to c = 15,624, and
+    monoid_drazin answers in closed form. Tails run over m = 0 .. 6."""
     shapes = [(m, 6 + 32 + k - m) for m in (0, 3, 5) for k in (-1, 0, 1)]
     edges = (34, 64, 65, 128, 129, 256, 257, 384, 385, 1000)
     shapes += [(5 - i % 6, c) for i, c in enumerate(edges)]
@@ -370,9 +372,8 @@ def test_matrix_walk_agrees_with_the_reference_on_every_branch():
 
 
 def test_matrix_walk_budget_counts_tail_and_cycle():
-    """Past the linear prefix the budget still bounds m + c, as on it: for
-    diag(J_2, PRIMITIVE_F5), and for a cycle of 257 that ends one past the
-    block 129-256."""
+    """Past the linear prefix the budget of the walk still bounds m + c, as on
+    it: for diag(J_2, PRIMITIVE_F5), and for a cycle of 257."""
     import numpy as np
 
     rows = [[int(j == i + 1 < 2) for j in range(8)] for i in range(8)]
@@ -388,9 +389,9 @@ def test_matrix_walk_budget_counts_tail_and_cycle():
 
 
 def test_matrix_walk_memory_does_not_grow_with_the_cycle():
-    """A cycle of 117,648 powers of a 6 x 6 matrix is searched in blocks of
-    at most 128 powers, so the peak stays far below the 117,648 x 288 bytes
-    that keeping every power would take."""
+    """A cycle of 117,648 powers of a 6 x 6 matrix is walked keeping one power
+    past the prefix, so the peak stays far below the 117,648 x 288 bytes that
+    keeping every power would take."""
     import numpy as np
 
     x = fp_matrix_monoid(7, 6).element(np.array(PRIMITIVE_F7, dtype=np.int64))
@@ -401,3 +402,55 @@ def test_matrix_walk_memory_does_not_grow_with_the_cycle():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
+
+
+@st.composite
+def _route_c_inputs(draw):
+    """(p, rows): a random matrix over F_2, F_3, F_5, F_7 or F_13 with n <= 6,
+    or one whose powers first repeat past the linear prefix of n + 32 steps:
+    diag(J_m, g, 1, ..., 1) with g of order 33..400 (_tail_and_cycle), or a
+    primitive companion over F_5 or F_7 in a random basis."""
+    kind = draw(st.sampled_from(["random", "tail_and_cycle", "primitive"]))
+    if kind == "tail_and_cycle":
+        n = draw(st.integers(2, 6))
+        return _tail_and_cycle(n, draw(st.integers(0, n - 1)), draw(st.integers(33, 400)))
+    if kind == "random":
+        p, n = draw(st.sampled_from([2, 3, 5, 7, 13])), draw(st.integers(1, 6))
+    else:
+        p, n = draw(st.sampled_from([5, 7])), 6
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "random":
+        return p, rows
+    field = PrimeField(p)
+    basis = Matrix(field, rows)
+    assume(drazin_inverse(basis).index == 0)  # invertible
+    x = basis * Matrix(field, PRIMITIVE_F5 if p == 5 else PRIMITIVE_F7) * invert_matrix(basis)
+    return p, [list(row) for row in x.entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_route_c_inputs())
+def test_route_c_equals_route_a(case):
+    """Route C, by the linear prefix or past it in closed form, gives route A's
+    inverse, index and idempotent."""
+    p, rows = case
+    x = Matrix(PrimeField(p), rows)
+    c, a = monoid_cycle_drazin(x), drazin_inverse(x)
+    assert (c.inverse, c.index, c.idempotent) == (a.inverse, a.index, a.idempotent)
+
+
+def test_route_c_closed_form_counts_against_the_budget():
+    """Past the prefix of n + 32 steps, the closed form x^D = x^(E-1) spends
+    the products of x^E from the same budget: one step short of them, or an
+    E longer than the steps left, raises CycleNotFoundError naming the budget.
+    E is computed here from its definition, with p^e the least power >= n."""
+    for p, rows in ((5, PRIMITIVE_F5), (2 ** 61 - 1, [[0, 1], [1, 1]])):
+        n = len(rows)
+        unipotent = next(p ** e for e in range(n) if p ** e >= n)
+        j = lcm(*(p ** i - 1 for i in range(1, n + 1))) * unipotent - 1
+        budget = n + 32 + j.bit_length() + bin(j).count("1") - 1
+        x = Matrix(PrimeField(p), rows)
+        assert monoid_cycle_drazin(x, max_steps=budget).inverse == drazin_inverse(x).inverse
+        for short in (budget - 1, n + 33):
+            with pytest.raises(CycleNotFoundError, match="the budget of %d steps" % short):
+                monoid_cycle_drazin(x, max_steps=short)

@@ -7,6 +7,7 @@ the library as it is, without editing the benchmark.
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import drazin
@@ -54,14 +55,19 @@ def test_tracer_installs_counts_and_removes_cleanly():
 
 
 def test_walk_steps_count_tail_and_cycle_past_the_linear_prefix():
-    """finite.walk_steps adds m + c per walk, also when the cycle is found by
-    the anchored block search: this companion matrix of the primitive
-    t^6 - 2t^5 - 2 over F_5 has m = 0 and c = 5^6 - 1."""
+    """finite.walk_steps adds m + c per walk, also when the cycle closes past
+    the linear prefix: this companion matrix of the primitive t^6 - 2t^5 - 2
+    over F_5 has m = 0 and c = 5^6 - 1. power_cycle walks; route C answers
+    the same matrix in closed form, which is no walk."""
+    import numpy as np
+
     trace_layers = _load_tracer()
     rows = [[int(j == i - 1) for j in range(5)] + [2 * (i in (0, 5))] for i in range(6)]
+    x = drazin.fp_matrix_monoid(5, 6).element(np.array(rows, dtype=np.int64))
     tracer = trace_layers.Tracer(drazin)
     tracer.install()
     try:
+        assert drazin.power_cycle(x) == (0, 15624)
         assert cross_route_audit(Matrix(PrimeField(5), rows)).agree
     finally:
         tracer.remove()
@@ -93,3 +99,23 @@ def test_decompose_bundle_inverts_only_route_a_core():
         tracer.remove()
     assert all(r.passed for r in reports)
     assert tracer.calls["linalg.invert"] == 1
+
+
+def test_decompose_command_evaluates_the_drazin_axioms_once(capsys):
+    """`drazin decompose` builds its D report from the witnessed index that
+    validating route A's answer found, so [D.1-3] run once: one
+    verify_drazin_data call, and check_axioms for CND and EV only."""
+    trace_layers = _load_tracer()
+    import drazin.cli
+
+    tracer = trace_layers.Tracer(drazin)
+    tracer.install()
+    try:
+        code = drazin.cli.main(["decompose", "--matrix", "[[2,0,0],[0,0,1],[0,0,0]]"])
+    finally:
+        tracer.remove()
+    report = json.loads(capsys.readouterr().out)["axioms"]["D"]
+    assert code == 0
+    assert report == {"system": "D", "passed": True, "failed_axioms": [], "witnessed_index": 2}
+    assert tracer.calls["core.verify_drazin_data"] == 1
+    assert tracer.calls["verify.check_axioms"] == 2

@@ -460,9 +460,10 @@ def test_monoid_cycle_route_matches_rank_route():
 
 
 def test_monoid_cycle_route_builds_one_monoid_per_shape(monkeypatch):
-    """Route C keeps one fp_matrix_monoid per (p, n); fp_matrix_monoid itself
-    still returns a fresh monoid, and an overflowing (p, n) still raises on
-    every call, since a raising call is not cached."""
+    """Route C keeps one monoid per (p, n), and fp_matrix_monoid itself still
+    returns a fresh one. Where int64 products would overflow, fp_matrix_monoid
+    raises once and route C answers over a monoid of Matrix values, which is
+    kept too."""
     import drazin.finite as finite
     import drazin.verify as verify
 
@@ -482,10 +483,11 @@ def test_monoid_cycle_route_builds_one_monoid_per_shape(monkeypatch):
             assert monoid_cycle_drazin(x).inverse == drazin_inverse(x).inverse
         assert calls == [(5, 2), (5, 3)]
         big = PrimeField(4294967311)
+        x = Matrix(big, [[big.p - 1, 5], [0, 1]])  # order 2
         for _ in range(2):
-            with pytest.raises(ValueError, match="2\\^63"):
-                monoid_cycle_drazin(Matrix(big, [[1, 0], [0, 1]]))
-        assert calls[2:] == [(4294967311, 2)] * 2
+            d = monoid_cycle_drazin(x)
+            assert (d.inverse, d.index, d.idempotent) == (x, 0, Matrix.identity(big, 2))
+        assert calls[2:] == [(4294967311, 2)]
     finally:
         verify._matrix_monoid.cache_clear()
     assert real(5, 2) is not real(5, 2)
@@ -508,16 +510,16 @@ def test_monoid_cycle_route_budget():
     assert monoid_cycle_drazin(x).inverse == drazin_inverse(x).inverse
 
 
-def test_cross_route_audit_walk_is_bounded(monkeypatch):
-    # The powers of [[0,1],[1,1]] over F_1000003 do not repeat within 10^6
-    # steps; route C's default budget is the walk limit, not p^(n^2), so the
-    # audit raises instead of walking until memory runs out.
+def test_cross_route_audit_answers_past_the_walk_limit(monkeypatch):
+    """The powers of [[0,1],[1,1]] over F_1000003 do not repeat within 1000
+    steps, yet route C answers within that budget in closed form, over numpy
+    for p = 1000003 and over Matrix values for the larger primes."""
     import drazin.finite as finite
 
     monkeypatch.setattr(finite, "_WALK_LIMIT", 1000)
-    x = Matrix(PrimeField(1000003), [[0, 1], [1, 1]])
-    with pytest.raises(CycleNotFoundError, match="within 1000 steps"):
-        cross_route_audit(x)
+    for p in (1000003, 4294967311, 2 ** 61 - 1):
+        report = cross_route_audit(Matrix(PrimeField(p), [[0, 1], [1, 1]]))
+        assert report.agree and report.indices == {"A": 0, "B": 0, "C": 0}, p
 
 
 def test_cross_route_audit_fp():
