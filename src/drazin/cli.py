@@ -3,7 +3,8 @@
 Every subcommand parses JSON payloads, calls the library, and emits a
 JSON response that embeds an axiom report, so each answer certifies
 itself. Exit codes: 0 success, 1 user error, 2 internal inconsistency
-(a response whose own certification fails, which signals a bug).
+(a response whose own certification fails, or any exception other than
+a DrazinError or ValueError, either of which signals a bug).
 """
 
 from __future__ import annotations
@@ -451,6 +452,9 @@ def main(argv=None):
         response, code, pretty = {"error": str(exc), "kind": "internal-inconsistency"}, 2, False
     except (DrazinError, ValueError) as exc:
         response, code, pretty = {"error": str(exc)}, 1, False
+    except Exception as exc:  # no user input raises anything else: it is a library fault
+        error = "%s: %s" % (type(exc).__name__, exc)
+        response, code, pretty = {"error": error, "kind": "internal-inconsistency"}, 2, False
     try:
         _emit(response, pretty)
         sys.stdout.flush()

@@ -33,6 +33,7 @@ from .linalg import (
     full_rank_factorization,
     hstack,
     invert_matrix,
+    rank,
     rref,
 )
 
@@ -184,14 +185,23 @@ def drazin_from_fitting(x, f):
 
 
 def _power_walk(x):
-    """(k, x^{k+1}, rref(x^{k+1})) at the least k with rank(x^k) = rank(x^{k+1})."""
+    """(k, x^{k+1}, rref(x^{k+1})) at the least k with rank(x^k) = rank(x^{k+1}).
+
+    The walk reads only the rank of each power, and reduces the last power
+    alone: when x is invertible (k = 0) its rref is the identity, with no
+    elimination.
+    """
     _require_square(x)
     k, power, prev_rank = 0, x, x.rows
     while True:
-        reduced = rref(power)
-        if reduced[2] == prev_rank:
-            return k, power, reduced
-        k, power, prev_rank = k + 1, power * x, reduced[2]
+        rk = rank(power)
+        if rk == prev_rank:
+            break
+        k, power, prev_rank = k + 1, power * x, rk
+    if k == 0:
+        n = x.rows
+        return 0, x, (Matrix.identity(x.field, n), tuple(range(n)), n)
+    return k, power, rref(power)
 
 
 def image_kernel_drazin(x):

@@ -4,7 +4,8 @@ check_axioms evaluates one labeled axiom system by exact equality and
 returns a uniform report; the subject's keywords go to that system's
 _check_* function. brute_force_drazin scans a candidate set for the unique
 element passing the Drazin axioms, an oracle independent of any
-closed-form construction that shares only core's absorption search.
+closed-form construction that shares only the absorption search,
+finite._absorption_index.
 cross_route_audit runs every applicable route on one matrix and compares.
 """
 

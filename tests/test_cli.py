@@ -426,6 +426,28 @@ def test_internal_inconsistency_exit_two(capsys, monkeypatch):
     assert resp["kind"] == "internal-inconsistency"
 
 
+def test_an_unexpected_exception_exits_two_with_json(capsys, monkeypatch):
+    """A kernel fault that raises neither a DrazinError nor a ValueError, here
+    an OverflowError from the packed Q product during a 9 x 9 drazin call, is
+    a library fault: exit 2 with a JSON error on stdout and no traceback."""
+    calls = []
+
+    def faulty(*args):
+        calls.append(args)
+        raise OverflowError("int too big to convert")
+
+    monkeypatch.setattr(linalg, "_packed_product", faulty)
+    shift = [[int(j == i + 1) for j in range(9)] for i in range(9)]
+    code = main(["drazin", "--matrix", json.dumps(shift)])
+    captured = capsys.readouterr()
+    assert code == 2 and calls
+    assert json.loads(captured.out) == {
+        "error": "OverflowError: int too big to convert",
+        "kind": "internal-inconsistency",
+    }
+    assert captured.err == ""
+
+
 def test_decompose_of_a_wrong_library_answer_exits_two(capsys, monkeypatch):
     """decompose revalidates route A's own answer; a stale one is a bug, not a
     user error, so the call exits 2, as drazin does on the same input."""

@@ -274,9 +274,9 @@ def factor_pairs(draw, entry):
 
 
 @st.composite
-def reducible(draw, entry, matmul):
+def reducible(draw, entry, matmul, dims=DIMS):
     """(m, cols): a random matrix, or a product L*R of rank at most k."""
-    rows, cols = draw(DIMS), draw(DIMS)
+    rows, cols = draw(dims), draw(dims)
     if draw(st.booleans()):
         return grid(draw, entry, rows, cols), cols
     k = draw(st.integers(0, min(rows, cols)))
@@ -317,7 +317,7 @@ def test_q_rref_matches_oracle(case):
     m, cols = case
     reduced, pivots, rk = rref(Matrix(Q, m, cols=cols))
     want, want_pivots = frac_rref(m)
-    assert pivots == want_pivots and rk == len(want_pivots)
+    assert pivots == want_pivots and rk == len(want_pivots) == rank(Matrix(Q, m, cols=cols))
     assert (reduced.rows, reduced.cols) == (len(m), cols)
     assert reduced.entries == want
     assert all(type(v) is Fraction for row in reduced.entries for v in row)
@@ -333,7 +333,7 @@ def test_fp_rref_matches_oracle(data):
 def assert_fp_rref_matches(p, m, cols):
     reduced, pivots, rk = rref(Matrix(PrimeField(p), m, cols=cols))
     want, want_pivots = modp_rref(m, p)
-    assert pivots == want_pivots and rk == len(want_pivots)
+    assert pivots == want_pivots and rk == len(want_pivots) == rank(Matrix(PrimeField(p), m, cols=cols))
     assert (reduced.rows, reduced.cols) == (len(m), cols)
     assert reduced.entries == want
     assert all(type(v) is int for row in reduced.entries for v in row)
@@ -409,6 +409,101 @@ def test_small_fp_kernels_take_the_byte_path(monkeypatch):
     assert (a * a).entries == modp_matmul(a.entries, a.entries, 5)
     assert rref(a)[0].entries == modp_rref(a.entries, 5)[0]
     assert calls == ["_byte_product", "_byte_rref"]
+
+
+# Property tests at the gate of the packed Q product (rows >= 8 and cols >= 8)
+# and at the edges of its slots: shapes up to 12, and dot products of
+# 2**(s - 1) - 1, the most a signed slot of s bits holds, and of 2**(s - 1),
+# which takes the next width, or at s = 64 the loop of one sum per entry.
+
+GATE_DIMS = st.integers(0, 12)
+GATE_SIDES = st.one_of(GATE_DIMS, st.integers(linalg._PACK_GATE, 12))
+SLOT_EDGES = [2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63]
+EDGE_ENTRIES = st.sampled_from([0, 1, -1] + [s * v for v in SLOT_EDGES[:6] for s in (1, -1)])
+PACKED_ENTRIES = st.one_of(Q_ENTRIES, st.integers(-(2**40), 2**40), EDGE_ENTRIES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_q_product_matches_oracle_across_the_pack_gate(data):
+    rows, inner, cols = data.draw(GATE_SIDES), data.draw(GATE_DIMS), data.draw(GATE_SIDES)
+    a, b = grid(data.draw, PACKED_ENTRIES, rows, inner), grid(data.draw, PACKED_ENTRIES, inner, cols)
+    got = Matrix(Q, a, cols=inner) * Matrix(Q, b, cols=cols)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got.entries == expected_product(frac_matmul, a, b, inner, cols)
+
+
+@pytest.mark.parametrize("edge", SLOT_EDGES)
+def test_q_product_at_each_slot_edge(edge):
+    """Every dot product is +-edge, and so is the bound that sizes the
+    slots, with edge in either factor; only 2**63 falls back to the loop."""
+    rng = random.Random(edge)
+    n = linalg._PACK_GATE
+    big = tuple((rng.choice((edge, -edge)),) for _ in range(n))
+    unit = (tuple(rng.choice((1, -1)) for _ in range(n)),)
+    for a, b in ((big, unit), (tuple(zip(*unit)), tuple(zip(*big)))):
+        got = Matrix(Q, a) * Matrix(Q, b)
+        assert got.entries == frac_matmul(a, b)
+        assert {max(map(abs, row)) for row in got._ints} == {edge}
+        assert (linalg._packed_product(a, b, n) is None) == (edge >= 2**63)
+
+
+@pytest.mark.parametrize("big", [2**62, 2**63 - 1, 2**63, 2**100])
+def test_q_product_of_a_zero_factor(big):
+    """A zero left factor bounds every dot product by 0, but the right
+    factor's entries must still fit their slots; a zero right factor with
+    large left entries packs into bytes."""
+    rng = random.Random(big)
+    n = linalg._PACK_GATE + 1
+    large = tuple(tuple(rng.choice((big, -big, 1, 0)) for _ in range(n)) for _ in range(n))
+    zero = ((0,) * n,) * n
+    for a, b in ((zero, large), (large, zero)):
+        assert (Matrix(Q, a) * Matrix(Q, b)).entries == frac_matmul(a, b)
+    assert (linalg._packed_product(zero, large, n) is None) == (big >= 2**63)
+    assert linalg._packed_product(large, zero, n) == zero
+
+
+def test_q_products_past_the_gate_take_the_packed_kernel(monkeypatch):
+    """An 8 x 8 Q product runs on packed slots; 7 rows or 7 columns do not."""
+    calls = []
+    kernel = linalg._packed_product
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "_packed_product", counted)
+    rng = random.Random(8)
+    for rows, cols in ((8, 8), (7, 8), (8, 7), (12, 9)):
+        a, b = random_q_matrix(rng, rows, 5), random_q_matrix(rng, 5, cols)
+        assert (a * b).entries == frac_matmul(a.entries, b.entries)
+    assert calls == [8, 9]
+
+
+# rank is forward elimination only, in the same kernels as rref: its rank
+# must be rref's, over Q and over F_p on the byte (p <= 13) and tuple paths,
+# with zero rows and columns and every degenerate shape.
+
+RANK_FIELDS = st.sampled_from([Q, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(101)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_is_the_rref_rank(data):
+    field = data.draw(RANK_FIELDS)
+    if field == Q:
+        entry, matmul, oracle = Q_ENTRIES, frac_matmul, frac_rank
+    else:
+        entry, matmul = FP_ENTRIES, partial(modp_matmul, p=field.p)
+        oracle = partial(modp_rank, p=field.p)
+    m, cols = data.draw(reducible(entry, matmul, GATE_DIMS))
+    zero_rows, zero_cols = data.draw(st.sets(GATE_DIMS)), data.draw(st.sets(GATE_DIMS))
+    m = tuple(
+        tuple(0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row))
+        for i, row in enumerate(m)
+    )
+    a = Matrix(field, m, cols=cols)
+    assert rank(a) == rref(a)[2] == oracle(m)
 
 
 # Property tests: +, -, unary - and scale against Fraction and mod-p
